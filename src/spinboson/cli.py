@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +53,8 @@ def _load_config(path: str, args) -> RunConfig:
         updates["side"] = args.side
     if getattr(args, "pipeline", None) is not None:
         updates["pipeline"] = args.pipeline
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-        if cfg.grid < 2 or cfg.refine_iters < 0:
-            raise ValueError("config: grid must be >= 2 and refine_iters >= 0")
-    return cfg
+    # replace() validates the overrides as parse_config validates the file
+    return replace(cfg, **updates)
 
 
 def _run_from_config(cfg: RunConfig, pipeline: str | None = None):
@@ -102,8 +98,6 @@ def _cmd_audit(args) -> int:
         outcomes.extend(result.audits)
 
     if "square_sums" in cfg.audits:
-        from dataclasses import replace
-
         sq_cfg = replace(cfg, partitions=SQUARE_SUM_PARTITIONS)
         sq_result = _run_from_config(sq_cfg, pipeline="brute_force")
         for measure in ("quantum", "classical", "concurrence"):

@@ -4,17 +4,24 @@ Two independent routes are provided for the classical correlation C and the
 quantum correlation (discord) Q:
 
 * a brute-force optimiser over orthogonal projective measurements on one
-  qubit (deterministic grid scan plus local refinement), valid for any
-  two-qubit state, and
+  qubit, valid for any two-qubit state, and
 * closed forms for the spin pair and the reservoir pair of the two
   evolving initial-state families of :mod:`spinboson.model`.
+
+The optimiser has two paths.  X states, whose eight entries off the
+diagonal and the anti-diagonal are exactly zero (every partition of both
+families is one at every time), get the measurement azimuth in closed
+form from the state's correlation matrix and a one-dimensional search
+over the polar angle.  Every other state gets a deterministic mesh scan
+over (polar, azimuth) plus local refinement.  The test is for exact
+zeros, so a state with round-off in those entries takes the mesh scan.
 
 The measurement class is restricted to rank-1 projective measurements.
 General POVMs never beat them for any state handled here (the closed-form
 optima are themselves projective), and the restriction keeps the optimiser
-two-dimensional.  Discord is asymmetric, so every brute-force routine takes
-a ``side`` argument naming the measured qubit; the default measures the
-second (last-listed) qubit of the pair.
+at most two-dimensional.  Discord is asymmetric, so every brute-force
+routine takes a ``side`` argument naming the measured qubit; the default
+measures the second (last-listed) qubit of the pair.
 
 Closed forms take squared magnitudes (``beta2 = |beta|^2`` etc.) and return
 bits.  The concurrence normalisation is Wootters': a Bell state has
@@ -29,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    SIGMA_X,
     SIGMA_Y,
     binary_entropy,
     entropy2_batch,
@@ -38,6 +46,11 @@ from .linalg import (
 )
 
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+_PAULI_XY = np.stack([SIGMA_X, SIGMA_Y])
+
+# Entries off the diagonal and the anti-diagonal; all are exactly zero in
+# an X state.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 # Outcome probabilities below this carry no weight; their conditional
 # state is undefined and the branch contributes nothing.
@@ -136,12 +149,17 @@ def classical_correlation_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
-    For every state, scans a uniform ``grid`` x ``grid`` mesh over the
-    measurement hemisphere parameters (theta in [0, pi], phi in [0, 2 pi])
-    and then runs ``refine_iters`` rounds of local refinement, shrinking
-    the search box five-fold around the best axis each round.  Ties are
-    broken lexicographically on (value, theta, phi), so the result is
-    deterministic and independent of batching.
+    States whose eight entries off the diagonal and the anti-diagonal are
+    exactly zero (X states) take a one-dimensional search: the azimuth phi
+    follows in closed form from the correlation matrix, and ``grid`` points
+    of the polar angle theta in [0, pi/2] are scanned and then refined
+    ``refine_iters`` times, the search interval shrinking five-fold around
+    the best theta each round.  Every other state scans a uniform ``grid``
+    x ``grid`` mesh over theta in [0, pi] and phi in [0, 2 pi] and refines
+    the box around the best axis the same way.  Ties are broken
+    lexicographically on (value, theta, phi), so the result is
+    deterministic and independent of batching.  ``chunk`` bounds the work
+    arrays: states per mesh scan, or ``chunk * grid`` X states per scan.
 
     Returns (values, thetas, phis), each of shape (N,).
     """
@@ -157,13 +175,81 @@ def classical_correlation_batch(
     values = np.empty(n)
     thetas = np.empty(n)
     phis = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        v, t, p = _cc_chunk(rhos[lo:hi], side, grid, refine_iters)
-        values[lo:hi] = v
-        thetas[lo:hi] = t
-        phis[lo:hi] = p
+    is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
+    for rows, solve, size in (
+        (np.flatnonzero(is_x), _cc_x, chunk * grid),
+        (np.flatnonzero(~is_x), _cc_chunk, chunk),
+    ):
+        for lo in range(0, len(rows), size):
+            sel = rows[lo:lo + size]
+            values[sel], thetas[sel], phis[sel] = solve(rhos[sel], side, grid, refine_iters)
     return values, thetas, phis
+
+
+def _cc_x(rhos, side, grid, refine_iters):
+    """Optimiser for X states in the real Bloch form.
+
+    With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j)/4
+    and the second qubit measured along n, the first is left with Bloch
+    vector (a +- T n) / (2 p+-) with probability p+- = (1 +- b.n)/2 (Luo,
+    PRA 77, 042303 (2008)).  An X state has a = a3 z, b = b3 z and T block
+    diagonal, so |a +- T n|^2 = (a3 +- T33 cos theta)^2 + |T_xy u|^2
+    sin^2 theta with u the azimuthal unit vector.  p+- does not depend on
+    phi, so the best phi maximises |T_xy u| for every theta: u is the top
+    right-singular vector of T_xy, and the search over theta is
+    one-dimensional (Chen et al., PRA 84, 042313 (2011)).  n and -n are the
+    same measurement, so theta stays in [0, pi/2].
+    """
+    n = rhos.shape[0]
+    d = np.diagonal(rhos, axis1=1, axis2=2).real
+    z_first = d[:, 0] + d[:, 1] - d[:, 2] - d[:, 3]
+    z_second = d[:, 0] - d[:, 1] + d[:, 2] - d[:, 3]
+    t33 = d[:, 0] - d[:, 1] - d[:, 2] + d[:, 3]
+    # T_ij = Tr(rho sigma_i x sigma_j) for i, j in {x, y}
+    t_xy = np.einsum("nabcd,ica,jdb->nij", rhos.reshape(n, 2, 2, 2, 2), _PAULI_XY, _PAULI_XY).real
+    if side == "second":
+        a3, b3 = z_first, z_second
+    else:
+        a3, b3 = z_second, z_first
+        t_xy = np.swapaxes(t_xy, 1, 2)
+    # top eigenpair of the symmetric 2x2 T_xy^T T_xy
+    g = np.einsum("nki,nkj->nij", t_xy, t_xy)
+    half_diff = 0.5 * (g[:, 0, 0] - g[:, 1, 1])
+    sigma2 = 0.5 * (g[:, 0, 0] + g[:, 1, 1]) + np.hypot(half_diff, g[:, 0, 1])
+    phi = np.mod(0.5 * np.arctan2(g[:, 0, 1], half_diff), np.pi)
+    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.abs(a3), 1.0)))
+
+    a3, b3, t33, sigma2 = (x[:, None] for x in (a3, b3, t33, sigma2))
+    frac = np.linspace(0.0, 1.0, grid)[None, :]
+    t_lo = np.zeros(n)
+    t_hi = np.full(n, 0.5 * np.pi)
+    best_v = np.full(n, -np.inf)
+    best_t = np.zeros(n)
+    rows = np.arange(n)
+    for _ in range(refine_iters + 1):
+        th = t_lo[:, None] + (t_hi - t_lo)[:, None] * frac
+        ct = np.cos(th)
+        st2 = np.sin(th) ** 2
+        val = s_est[:, None]
+        for sign in (1.0, -1.0):
+            p = 0.5 * (1.0 + sign * b3 * ct)
+            length = np.sqrt((a3 + sign * t33 * ct) ** 2 + sigma2 * st2)
+            ok = p > _P_FLOOR
+            radius = np.minimum(np.where(ok, length / np.where(ok, 2.0 * p, 1.0), 0.0), 1.0)
+            val = val - np.where(ok, p, 0.0) * binary_entropy(0.5 * (1.0 + radius))
+
+        # theta rises along each row: the last maximum has the largest theta
+        idx = grid - 1 - np.argmax(val[:, ::-1], axis=1)
+        cand_v, cand_t = val[rows, idx], th[rows, idx]
+        better = (cand_v > best_v) | ((cand_v == best_v) & (cand_t > best_t))
+        best_v = np.where(better, cand_v, best_v)
+        best_t = np.where(better, cand_t, best_t)
+
+        span = (t_hi - t_lo) / 5.0
+        t_lo = np.clip(best_t - span / 2.0, 0.0, 0.5 * np.pi)
+        t_hi = np.clip(best_t + span / 2.0, 0.0, 0.5 * np.pi)
+
+    return np.maximum(best_v, 0.0), best_t, phi
 
 
 def _cc_chunk(rhos, side, grid, refine_iters):

@@ -34,6 +34,42 @@ _TOP_KEYS = {
 
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
+# Upper bounds of the integer fields: far above every value the tests,
+# demos and benchmark use, and below the sizes whose work arrays would
+# exhaust memory (the mesh optimiser holds chunk x grid^2 x 4 complex
+# entries, and a sweep keeps every grid time of every partition).
+MAX_TIME_STEPS = 100_001
+MAX_GRID = 256
+MAX_REFINE_ITERS = 20
+
+
+def _number(doc: dict, field: str, default: float) -> float:
+    """``doc[field]`` as a finite float; bools, strings and NaN/Infinity are rejected."""
+    value = doc.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config: {field} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"config: {field} must be finite, got {value!r}")
+    return value
+
+
+def _count(value, field: str, lo: int, hi: int) -> int:
+    """An integer in [lo, hi]; bools and non-integral floats are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"config: {field} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise ValueError(f"config: {field} is {value}; must be in [{lo}, {hi}]")
+    return value
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -55,6 +91,15 @@ class RunConfig:
     svg: bool = False
     audits: tuple = AUDIT_TOGGLES
 
+    def __post_init__(self):
+        # runs again on dataclasses.replace, so CLI overrides are checked too
+        for field, lo, hi in (
+            ("time_steps", 2, MAX_TIME_STEPS),
+            ("grid", 2, MAX_GRID),
+            ("refine_iters", 0, MAX_REFINE_ITERS),
+        ):
+            object.__setattr__(self, field, _count(getattr(self, field), field, lo, hi))
+
     def scenario(self) -> Scenario:
         raw = np.linspace(self.time_start, self.time_end, self.time_steps)
         return Scenario(
@@ -70,8 +115,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
     Unknown keys are rejected by name; invariant violations name the field
-    and the constraint.  Weight amplitudes off unit norm by less than 1e-6
-    are renormalised, anything further off is rejected.
+    and the constraint.  Numbers must be finite JSON numbers; ``time_steps``,
+    ``grid`` and ``refine_iters`` must be integers (an integral float such
+    as 101.0 is accepted) no larger than ``MAX_TIME_STEPS``, ``MAX_GRID``
+    and ``MAX_REFINE_ITERS``.  Weight amplitudes off unit norm by less than
+    1e-6 are renormalised, anything further off is rejected.
     """
     try:
         doc = json.loads(text)
@@ -87,8 +135,8 @@ def parse_config(text: str) -> RunConfig:
     if family not in ("two_exc", "one_exc"):
         raise ValueError(f"config: family must be 'two_exc' or 'one_exc', got {family!r}")
 
-    alpha = complex(float(doc.get("alpha_re", 0.0)), float(doc.get("alpha_im", 0.0)))
-    beta = complex(float(doc.get("beta_re", 0.0)), float(doc.get("beta_im", 0.0)))
+    alpha = complex(_number(doc, "alpha_re", 0.0), _number(doc, "alpha_im", 0.0))
+    beta = complex(_number(doc, "beta_re", 0.0), _number(doc, "beta_im", 0.0))
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(norm - 1.0) >= 1e-6:
         raise ValueError(
@@ -107,29 +155,29 @@ def parse_config(text: str) -> RunConfig:
     if kind == "flat":
         if "W" in spec_doc or "lambda" in spec_doc:
             raise ValueError("config: flat spectral density takes only 'gamma'")
-        spectral = SpectralDensity(kind="flat", gamma=float(spec_doc.get("gamma", 0.0)))
+        spectral = SpectralDensity(kind="flat", gamma=_number(spec_doc, "gamma", 0.0))
     elif kind == "lorentz":
         if "gamma" in spec_doc:
             raise ValueError("config: lorentz spectral density takes 'W' and 'lambda', not 'gamma'")
         spectral = SpectralDensity(
-            kind="lorentz", W=float(spec_doc.get("W", 0.0)), lam=float(spec_doc.get("lambda", 0.0))
+            kind="lorentz", W=_number(spec_doc, "W", 0.0), lam=_number(spec_doc, "lambda", 0.0)
         )
     else:
         raise ValueError(f"config: spectral.kind must be 'flat' or 'lorentz', got {kind!r}")
 
-    time_start = float(doc.get("time_start", 0.0))
-    time_end = float(doc.get("time_end", 5.0))
-    time_steps = int(doc.get("time_steps", 101))
-    if time_steps < 2:
-        raise ValueError(f"config: time_steps is {time_steps}; must be >= 2")
+    time_start = _number(doc, "time_start", 0.0)
+    time_end = _number(doc, "time_end", 5.0)
     if not time_end > time_start:
         raise ValueError("config: time_end must exceed time_start")
     if time_start < 0.0:
         raise ValueError("config: time_start must be >= 0")
 
-    partitions = tuple(doc.get("partitions", PARTITION_ORDER))
+    partitions = doc.get("partitions", list(PARTITION_ORDER))
+    if not isinstance(partitions, list):
+        raise ValueError(f"config: partitions must be a list of partition names, got {partitions!r}")
+    partitions = tuple(partitions)
     for p in partitions:
-        if p not in PARTITIONS:
+        if not isinstance(p, str) or p not in PARTITIONS:
             raise ValueError(f"config: unknown partition {p!r}")
     if len(partitions) != len(set(partitions)):
         raise ValueError("config: partitions must be unique")
@@ -137,15 +185,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError("config: partitions must not be empty")
 
     pipeline = doc.get("pipeline", "both")
-    if pipeline not in PIPELINE_NAMES:
+    if not isinstance(pipeline, str) or pipeline not in PIPELINE_NAMES:
         raise ValueError(f"config: pipeline must be one of {sorted(PIPELINE_NAMES)}, got {pipeline!r}")
-
-    grid = int(doc.get("grid", 64))
-    refine_iters = int(doc.get("refine_iters", 4))
-    if grid < 2:
-        raise ValueError(f"config: grid is {grid}; must be >= 2")
-    if refine_iters < 0:
-        raise ValueError(f"config: refine_iters is {refine_iters}; must be >= 0")
 
     side = doc.get("side", "second")
     if side not in ("first", "second"):
@@ -161,6 +202,9 @@ def parse_config(text: str) -> RunConfig:
     unknown = set(audits_doc) - set(AUDIT_TOGGLES)
     if unknown:
         raise ValueError(f"config: unknown audit toggle {sorted(unknown)[0]!r}")
+    for name, on in audits_doc.items():
+        if not isinstance(on, bool):
+            raise ValueError(f"config: audits.{name} must be a boolean, got {on!r}")
     audits = tuple(name for name in AUDIT_TOGGLES if audits_doc.get(name, True))
 
     out_dir = doc.get("out_dir")
@@ -169,9 +213,10 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         family=family, alpha=alpha, beta=beta, spectral=spectral,
-        time_start=time_start, time_end=time_end, time_steps=time_steps,
+        time_start=time_start, time_end=time_end, time_steps=doc.get("time_steps", 101),
         partitions=partitions, pipeline=pipeline, out_dir=out_dir,
-        grid=grid, refine_iters=refine_iters, side=side, svg=svg, audits=audits,
+        grid=doc.get("grid", 64), refine_iters=doc.get("refine_iters", 4),
+        side=side, svg=svg, audits=audits,
     )
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spinboson.correlations import (
+    _OFF_X,
     MeasurementAxis,
+    _cc_chunk,
     classical_correlation_batch,
     classical_correlation_bruteforce,
     classical_correlation_spins_one_exc,
@@ -14,12 +16,24 @@ from spinboson.correlations import (
     concurrence_wootters,
     discord,
     mutual_information,
+    mutual_information_batch,
     quantum_correlation_spins_one_exc,
     quantum_correlation_spins_two_exc,
     reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
-from spinboson.model import Amplitudes, amplitudes_flat, amplitudes_lorentz, pure_state, reduced
+from spinboson.model import (
+    PARTITION_ORDER,
+    Amplitudes,
+    Scenario,
+    SpectralDensity,
+    amplitudes_flat,
+    amplitudes_lorentz,
+    pure_state,
+    reduced,
+    reduced_batch,
+    state_batch,
+)
 
 LOPSIDED = (1.0 / math.sqrt(10.0), 3.0 / math.sqrt(10.0))
 BELL = (2.0**-0.5, 2.0**-0.5)
@@ -316,8 +330,138 @@ class TestOptimizerConvergence:
         rng = np.random.default_rng(77)
         rhos = random_x_states(rng, 64)
         vals, _, _ = classical_correlation_batch(rhos, "second", 24, 3)
-        from spinboson.correlations import mutual_information_batch
-
         info = mutual_information_batch(rhos)
         assert vals.min() >= 0.0
         assert np.all(vals <= info + 1e-9)
+
+
+def x_states_with_both_coherences(rng, count):
+    """Random X states whose two coherences are both nonzero, with random phases."""
+    rhos = np.zeros((count, 4, 4), dtype=complex)
+    for i in range(count):
+        # lopsided weights make interior optima of theta common
+        d = rng.dirichlet(np.full(4, 0.3))
+        rhos[i] = np.diag(d)
+        for j, k in ((0, 3), (1, 2)):
+            z = math.sqrt(d[j] * d[k]) * rng.uniform(0.05, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            rhos[i, j, k] = z
+            rhos[i, k, j] = np.conj(z)
+    return rhos
+
+
+def general_states(rng, count):
+    """Random full-rank two-qubit states with no zero entries."""
+    g = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
+    rhos = g @ np.swapaxes(g.conj(), 1, 2)
+    return rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+
+
+def plus_projectors(theta, phi):
+    """P+ = (I + n.sigma)/2 for arrays of axes: shape theta.shape + (2, 2)."""
+    off = 0.5 * np.sin(theta) * np.exp(-1j * phi)
+    proj = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    proj[..., 0, 0] = 0.5 * (1.0 + np.cos(theta))
+    proj[..., 1, 1] = 0.5 * (1.0 - np.cos(theta))
+    proj[..., 0, 1] = off
+    proj[..., 1, 0] = np.conj(off)
+    return proj
+
+
+def measured_values(rho, side, plus):
+    """S(unmeasured) - sum_j p_j S(conditional_j) for measurements given by P+ (..., 2, 2)."""
+    r4 = rho.reshape(2, 2, 2, 2)
+    if side == "second":
+        kept = np.einsum("abcb->ac", r4)
+        cond = np.einsum("abcd,...db->...ac", r4, plus)
+    else:
+        kept = np.einsum("abad->bd", r4)
+        cond = np.einsum("abcd,...ca->...bd", r4, plus)
+
+    def weighted_entropy(m):
+        # p S(m / p) from the eigenvalues of a 2x2 Hermitian m
+        p = (m[..., 0, 0] + m[..., 1, 1]).real
+        gap = np.sqrt(((m[..., 0, 0] - m[..., 1, 1]).real) ** 2 + 4.0 * np.abs(m[..., 0, 1]) ** 2)
+        out = np.zeros_like(p)
+        for lam in ((p + gap) / 2.0, (p - gap) / 2.0):
+            live = (lam > 0.0) & (p > 1e-14)
+            out -= np.where(live, lam * np.log2(np.where(live, lam, 1.0) / np.where(live, p, 1.0)), 0.0)
+        return out
+
+    return weighted_entropy(kept) - weighted_entropy(cond) - weighted_entropy(kept - cond)
+
+
+def hemisphere_scan(rho, side, points=4000, rounds=5):
+    """Best measured value found by a Fibonacci-lattice scan and a local zoom.
+
+    Every value is reached by an actual axis, so the result never exceeds C.
+    """
+    k = np.arange(points) + 0.5
+    theta = np.arccos(k / points)
+    phi = k * np.pi * (3.0 - math.sqrt(5.0))
+    vals = measured_values(rho, side, plus_projectors(theta, phi))
+    j = np.argmax(vals)
+    best, t0, p0 = vals[j], theta[j], phi[j]
+    step = np.linspace(-1.0, 1.0, 21)
+    width = 2.0 * math.sqrt(2.0 * np.pi / points)
+    for _ in range(rounds):
+        dt, dp = np.meshgrid(step * width, step * width, indexing="ij")
+        vals = measured_values(rho, side, plus_projectors(t0 + dt, p0 + dp))
+        j = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[j] > best:
+            best, t0, p0 = vals[j], t0 + dt[j], p0 + dp[j]
+        width /= 8.0
+    return float(best)
+
+
+class TestXStatePath:
+    @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
+    @pytest.mark.parametrize(
+        "spectral,fractions",
+        [
+            (SpectralDensity("flat", gamma=1.0), np.array([0.15, 0.4, 0.7, 1.0]) * 5.0),
+            (SpectralDensity("lorentz", W=RATIO, lam=1.0), np.array([0.15, 0.4, 0.7, 1.0]) * 2.0),
+        ],
+        ids=["flat", "lorentz"],
+    )
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_matches_mesh_optimiser_on_model_states(self, family, spectral, fractions, side):
+        # the mesh optimiser at a finer setting stays the oracle for the X path
+        _, states = state_batch(Scenario(family, *LOPSIDED, spectral, fractions))
+        rhos = np.concatenate([reduced_batch(states, p) for p in PARTITION_ORDER])
+        assert np.all(rhos[:, _OFF_X] == 0.0)
+        fast, _, _ = classical_correlation_batch(rhos, side)
+        mesh, _, _ = _cc_chunk(rhos, side, 128, 5)
+        assert np.abs(fast - mesh).max() < 1e-9
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_never_below_dense_scan(self, side):
+        # this draw has optima strictly inside (0, pi/2) on both sides
+        rng = np.random.default_rng(10)
+        rhos = x_states_with_both_coherences(rng, 40)
+        values, _, _ = classical_correlation_batch(rhos, side)
+        info = mutual_information_batch(rhos)
+        for rho, value, bound in zip(rhos, values, info):
+            assert value >= hemisphere_scan(rho, side) - 1e-9
+            assert value <= bound + 1e-9
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_returned_axis_attains_value(self, side):
+        # pins the azimuth convention: the axis is one that MeasurementAxis
+        # turns into projectors reaching exactly the reported value
+        rng = np.random.default_rng(8)
+        rhos = x_states_with_both_coherences(rng, 40)
+        values, thetas, phis = classical_correlation_batch(rhos, side)
+        for rho, value, theta, phi in zip(rhos, values, thetas, phis):
+            plus, _ = MeasurementAxis(theta, phi).projectors()
+            assert abs(measured_values(rho, side, plus) - value) < 1e-12
+
+    def test_mixed_batch_matches_separate_calls(self):
+        rng = np.random.default_rng(12)
+        x = x_states_with_both_coherences(rng, 5)
+        general = general_states(rng, 4)
+        mixed = np.stack([x[0], general[0], x[1], x[2], general[1], general[2], x[3], general[3], x[4]])
+        batch = classical_correlation_batch(mixed, "second", 16, 2)
+        for i, rho in enumerate(mixed):
+            alone = classical_correlation_batch(rho[None], "second", 16, 2)
+            for got, want in zip(batch, alone):
+                assert got[i] == want[0]

@@ -9,6 +9,9 @@ from spinboson.experiments import run_sweep
 from spinboson.io import (
     CSV_HEADER,
     FIGURE_CONFIGS,
+    MAX_GRID,
+    MAX_REFINE_ITERS,
+    MAX_TIME_STEPS,
     emit_csv,
     emit_svg_plot,
     figure_config,
@@ -143,6 +146,84 @@ class TestParseConfig:
         doc["spectral"] = {"kind": "flat", "gamma": 3.0}
         cfg = parse_config(json.dumps(doc))
         assert cfg.scenario().time_grid[-1] == 6.0
+
+
+class TestConfigHardening:
+    # json parses the bare literals NaN and Infinity, so configs are
+    # written as text here
+
+    @staticmethod
+    def with_literal(field, literal, spectral=False):
+        doc = bell_doc()
+        target = doc["spectral"] if spectral else doc
+        target[field] = "@@"
+        return json.dumps(doc).replace('"@@"', literal)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="alpha_re"):
+            parse_config(self.with_literal("alpha_re", "NaN"))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "spectral,field",
+        [({"kind": "flat"}, "gamma"), ({"kind": "lorentz", "W": 2.0, "lambda": 1.0}, "W"),
+         ({"kind": "lorentz", "W": 2.0, "lambda": 1.0}, "lambda")],
+    )
+    def test_non_finite_spectral_rejected(self, spectral, field, literal):
+        doc = bell_doc(spectral=dict(spectral, **{field: "@@"}))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            parse_config(json.dumps(doc).replace('"@@"', literal))
+
+    def test_infinite_time_end_rejected(self):
+        with pytest.raises(ValueError, match="time_end must be finite"):
+            parse_config(self.with_literal("time_end", "Infinity"))
+
+    @pytest.mark.parametrize("field,value", [("time_steps", 2.7), ("grid", 2.5), ("refine_iters", 1.5)])
+    def test_non_integral_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            parse_config(json.dumps(bell_doc(**{field: value})))
+
+    def test_integral_float_count_accepted(self):
+        assert parse_config(json.dumps(bell_doc(time_steps=3.0))).time_steps == 3
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ValueError, match="time_steps must be an integer, got True"):
+            parse_config(json.dumps(bell_doc(time_steps=True)))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("time_steps", MAX_TIME_STEPS + 1), ("time_steps", 10**12), ("grid", MAX_GRID + 1),
+         ("grid", 100_000), ("refine_iters", MAX_REFINE_ITERS + 1)],
+    )
+    def test_counts_bounded_above(self, field, value):
+        # rejected while parsing, before anything is allocated
+        with pytest.raises(ValueError, match=f"{field} is {value}; must be in"):
+            parse_config(json.dumps(bell_doc(**{field: value})))
+
+    def test_bounds_cover_documented_settings(self):
+        assert MAX_TIME_STEPS >= 10_001 and MAX_GRID >= 128 and MAX_REFINE_ITERS >= 5
+
+    def test_partitions_must_be_a_list(self):
+        with pytest.raises(ValueError, match="partitions must be a list"):
+            parse_config(json.dumps(bell_doc(partitions="s1s2")))
+
+    def test_audit_toggles_must_be_booleans(self):
+        # a truthy string such as "no" used to switch the audit on
+        doc = bell_doc(audits={"agreement": "no"})
+        with pytest.raises(ValueError, match="audits.agreement must be a boolean"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "flags,field", [(["--grid", str(MAX_GRID + 1)], "grid"), (["--grid", "1"], "grid"),
+                        (["--refine", "-1"], "refine_iters"), (["--refine", "99"], "refine_iters")],
+    )
+    def test_cli_overrides_checked(self, tmp_path, capsys, flags, field):
+        # small enough that even an unchecked run would end quickly
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bell_doc()))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)] + flags) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.fixture(scope="module")
