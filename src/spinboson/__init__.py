@@ -43,7 +43,6 @@ from .correlations import (
 )
 from .experiments import (
     AuditOutcome,
-    CorrelationRecord,
     SweepResult,
     bisect_positive_boundary,
     bisect_root,

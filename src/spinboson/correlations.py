@@ -24,13 +24,13 @@ routine takes a ``side`` argument naming the measured qubit; the default
 measures the second (last-listed) qubit of the pair.
 
 Closed forms take squared magnitudes (``beta2 = |beta|^2`` etc.) and return
-bits.  The concurrence normalisation is Wootters': a Bell state has
-concurrence 1.
+bits.  Their arguments may be scalars or arrays, broadcast together: a
+whole time grid is one call, and scalar arguments give scalar results.
+The concurrence normalisation is Wootters': a Bell state has concurrence 1.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,11 +41,12 @@ from .linalg import (
     binary_entropy,
     entropy2_batch,
     entropy_from_eigenvalues,
-    jacobi_eigh_batch,
-    tensor,
 )
 
-_SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+# sigma_y x sigma_y, the spin flip of Wootters' concurrence
+_SPIN_FLIP = np.array(
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+)
 _PAULI_XY = np.stack([SIGMA_X, SIGMA_Y])
 
 # Entries off the diagonal and the anti-diagonal; all are exactly zero in
@@ -95,9 +96,9 @@ def _require_state(rho: np.ndarray, who: str) -> np.ndarray:
     tr = rho.trace()
     if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
         raise ValueError(f"{who}: state trace is not 1")
-    vals = jacobi_eigh_batch(rho[None])[0]
-    if vals.min() < -1e-8:
-        raise ValueError(f"{who}: state has eigenvalue {vals.min():.3e} < -1e-8")
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < -1e-8:
+        raise ValueError(f"{who}: state has eigenvalue {low:.3e} < -1e-8")
     return rho
 
 
@@ -109,7 +110,7 @@ def _marginals_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
     """I = S(A) + S(B) - S(AB) for a stack of two-qubit states, in bits."""
     ra, rb = _marginals_batch(rhos)
-    s_ab = entropy_from_eigenvalues(jacobi_eigh_batch(rhos))
+    s_ab = entropy_from_eigenvalues(np.linalg.eigvalsh(rhos))
     return entropy2_batch(ra) + entropy2_batch(rb) - s_ab
 
 
@@ -364,18 +365,22 @@ def discord(
 
 
 def _check_unit_interval(who: str, **kwargs) -> dict:
+    """Arguments as floats clipped to [0, 1], with xi2 + chi2 = 1 checked."""
     out = {}
     for name, val in kwargs.items():
-        v = float(val)
-        if v < -1e-12 or v > 1.0 + 1e-12:
-            raise ValueError(f"{who}: {name} = {v!r} outside [0, 1]")
-        out[name] = min(max(v, 0.0), 1.0)
+        v = np.asarray(val, dtype=float)
+        bad = (v < -1e-12) | (v > 1.0 + 1e-12)
+        if bad.any():
+            raise ValueError(f"{who}: {name} = {float(v[bad][0])!r} outside [0, 1]")
+        out[name] = np.clip(v, 0.0, 1.0)
+    if np.any(np.abs(out["xi2"] + out["chi2"] - 1.0) > 1e-10):
+        raise ValueError(f"{who}: xi2 + chi2 must be 1")
     return out
 
 
-def _disturbed_entropy(prod: float) -> float:
+def _disturbed_entropy(prod):
     """H((1 + sqrt(1 - 4 u)) / 2) with the radicand clipped at zero."""
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * prod))))
+    return binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * prod))))
 
 
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -385,8 +390,6 @@ def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -
     optimum is attained by equatorial measurements.
     """
     a = _check_unit_interval("classical_correlation_spins_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
-    if abs(a["xi2"] + a["chi2"] - 1.0) > 1e-10:
-        raise ValueError("classical_correlation_spins_two_exc: xi2 + chi2 must be 1")
     return binary_entropy(a["beta2"] * a["xi2"]) - _disturbed_entropy(a["beta2"] * a["xi2"] * a["chi2"])
 
 
@@ -406,8 +409,6 @@ def reservoir_correlations_two_exc(beta2: float, xi2: float, chi2: float) -> tup
     exchanged, and again C = Q.
     """
     a = _check_unit_interval("reservoir_correlations_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
-    if abs(a["xi2"] + a["chi2"] - 1.0) > 1e-10:
-        raise ValueError("reservoir_correlations_two_exc: xi2 + chi2 must be 1")
     c = binary_entropy(a["beta2"] * a["chi2"]) - _disturbed_entropy(a["beta2"] * a["xi2"] * a["chi2"])
     return c, c
 
@@ -418,7 +419,8 @@ def classical_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) 
     Takes the same value as the two-excitation expression with
     beta2 = 1 - alpha2; only Q distinguishes the two families.
     """
-    return classical_correlation_spins_two_exc(1.0 - float(alpha2), xi2, chi2)
+    a = _check_unit_interval("classical_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
+    return classical_correlation_spins_two_exc(1.0 - a["alpha2"], a["xi2"], a["chi2"])
 
 
 def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) -> float:
@@ -428,8 +430,6 @@ def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) ->
     with beta2 = 1 - alpha2.  At t = 0 this reduces to H(alpha2).
     """
     a = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    if abs(a["xi2"] + a["chi2"] - 1.0) > 1e-10:
-        raise ValueError("quantum_correlation_spins_one_exc: xi2 + chi2 must be 1")
     beta2 = 1.0 - a["alpha2"]
     return (
         -binary_entropy(a["xi2"])
@@ -446,12 +446,10 @@ def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tu
     inherit the spin formulas with xi and chi exchanged.
     """
     a = _check_unit_interval("reservoir_correlations_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    if abs(a["xi2"] + a["chi2"] - 1.0) > 1e-10:
-        raise ValueError("reservoir_correlations_one_exc: xi2 + chi2 must be 1")
     beta2 = 1.0 - a["alpha2"]
     u = beta2 * a["xi2"] * a["chi2"]
     c = binary_entropy(beta2 * a["chi2"]) - binary_entropy(
-        0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * u)))
+        0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u)))
     )
     q = (
         _disturbed_entropy(u)
@@ -474,14 +472,15 @@ def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
     eigensolver.
     """
     rhos = np.asarray(rhos, dtype=complex)
-    vals, vecs = jacobi_eigh_batch(rhos, vectors=True)
+    vals, vecs = np.linalg.eigh(rhos)
     # square roots amplify round-off near zero: weights below 1e-13 of the
-    # leading one are rank-deficiency noise and are removed exactly
-    vals = np.where(vals > 1e-13 * vals[:, :1], vals, 0.0)
+    # leading (last, ascending order) one are rank-deficiency noise and are
+    # removed exactly
+    vals = np.where(vals > 1e-13 * vals[:, -1:], vals, 0.0)
     sqrt_rho = np.einsum("nij,nj,nkj->nik", vecs, np.sqrt(vals), vecs.conj())
     rho_tilde = np.einsum("ij,njk,kl->nil", _SPIN_FLIP, rhos.conj(), _SPIN_FLIP)
     m = sqrt_rho @ rho_tilde @ sqrt_rho
-    mv = jacobi_eigh_batch(m)
+    mv = np.linalg.eigvalsh(m)[:, ::-1]
     mv = np.where(mv > np.maximum(1e-13 * mv[:, :1], 1e-28), mv, 0.0)
     lam = np.sqrt(mv)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
@@ -504,7 +503,7 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
     ab = abs(alpha) * abs(beta)
     x2 = xi * xi
     if family == "two_exc":
-        return 2.0 * max(0.0, ab * x2 - (abs(beta) ** 2) * x2 * chi * chi)
+        return 2.0 * np.maximum(0.0, ab * x2 - (abs(beta) ** 2) * x2 * chi * chi)
     if family == "one_exc":
         return 2.0 * ab * x2
     raise ValueError(f"concurrence_closed: unknown family {family!r}")
@@ -514,4 +513,4 @@ def concurrence_closed_reservoirs(
     family: str, alpha: complex, beta: complex, xi: float, chi: float
 ) -> float:
     """Closed-form reservoir-pair concurrence (spin formulas with xi <-> chi)."""
-    return concurrence_closed(family, alpha, beta, chi, abs(xi))
+    return concurrence_closed(family, alpha, beta, chi, np.abs(xi))

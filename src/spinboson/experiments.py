@@ -3,9 +3,11 @@
 A sweep evaluates mutual information, classical correlation C, quantum
 correlation Q and concurrence for chosen two-qubit partitions of the
 four-party state, on every point of a scenario's time grid.  Two pipelines
-exist: ``closed_form`` (spin pair and reservoir pair only) and
-``brute_force`` (any partition, via the measurement optimiser); ``both``
-runs the two side by side and records how well they agree.
+exist: ``closed_form`` (spin pair and reservoir pair only, one array-valued
+closed-form call per partition) and ``brute_force`` (any partition, via
+the measurement optimiser on the stack of reduced states); ``both`` runs
+the two side by side and audits how well they agree.  A sweep's result is
+one array over the time grid per (partition, pipeline, measure).
 
 Audits never return bare booleans: each outcome carries the pass flag, a
 worst-case margin and enough numbers to diagnose a regression.
@@ -13,7 +15,6 @@ worst-case margin and enough numbers to diagnose a regression.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,21 +43,10 @@ SQUARE_SUM_PARTITIONS = ("s1s2", "s1r2", "s2r1", "r1r2")
 
 MEASURES = ("quantum", "classical", "concurrence")
 
+# What a sweep stores per (partition, pipeline), in CSV column order.
+SERIES_MEASURES = ("mutual_info", "classical", "quantum", "concurrence")
+
 _AGREEMENT_TOL = 1e-6
-
-
-@dataclass
-class CorrelationRecord:
-    """Correlation measures of one partition at one grid time (bits)."""
-
-    time: float
-    partition: str
-    pipeline: str
-    mutual_info: float
-    classical: float
-    quantum: float
-    concurrence: float
-    measured_side: str
 
 
 @dataclass
@@ -71,23 +61,28 @@ class AuditOutcome:
 
 @dataclass
 class SweepResult:
-    """All records of a sweep, ordered by (time, partition, pipeline)."""
+    """A sweep's measures over the scenario's time grid.
+
+    ``values[(partition, pipeline, measure)]`` holds one value per grid
+    time for each measure in ``SERIES_MEASURES``.  ``side`` names the qubit
+    the brute-force pipeline measured; the closed forms measure the second.
+    """
 
     scenario: Scenario
-    records: list[CorrelationRecord]
+    values: dict = field(default_factory=dict)
+    side: str = "second"
     audits: list[AuditOutcome] = field(default_factory=list)
 
     def series(self, partition: str, pipeline: str, measure: str) -> np.ndarray:
-        """Time-ordered values of one measure for one partition/pipeline."""
-        vals = [
-            (r.time, getattr(r, measure))
-            for r in self.records
-            if r.partition == partition and r.pipeline == pipeline
-        ]
-        return np.array([v for _, v in sorted(vals, key=lambda tv: tv[0])])
+        """Time-ordered values of one measure; empty if the sweep lacks it."""
+        return self.values.get((partition, pipeline, measure), np.empty(0))
 
     def times(self) -> np.ndarray:
-        return np.array(sorted({r.time for r in self.records}))
+        return self.scenario.time_grid
+
+    def main_pipeline(self) -> str:
+        """``brute_force`` when the sweep ran it (it covers every partition)."""
+        return "brute_force" if any(k[1] == "brute_force" for k in self.values) else "closed_form"
 
 
 def _closed_values(scenario: Scenario, partition: str, amps: np.ndarray):
@@ -96,32 +91,20 @@ def _closed_values(scenario: Scenario, partition: str, amps: np.ndarray):
     chi = amps[:, 1]
     xi2 = xi**2
     chi2 = np.minimum(chi**2, 1.0)
-    alpha, beta = scenario.alpha, scenario.beta
+    alpha, beta, family = scenario.alpha, scenario.beta, scenario.family
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
-    t = scenario.family
-    n = len(xi)
-    cs = np.empty(n)
-    qs = np.empty(n)
-    cons = np.empty(n)
-    for i in range(n):
-        if partition == "s1s2":
-            if t == "two_exc":
-                cs[i] = classical_correlation_spins_two_exc(b2, xi2[i], chi2[i])
-                qs[i] = cs[i]
-            else:
-                cs[i] = classical_correlation_spins_two_exc(b2, xi2[i], chi2[i])
-                qs[i] = quantum_correlation_spins_one_exc(a2, xi2[i], chi2[i])
-            cons[i] = concurrence_closed(t, alpha, beta, xi[i], chi[i])
-        elif partition == "r1r2":
-            if t == "two_exc":
-                cs[i], qs[i] = reservoir_correlations_two_exc(b2, xi2[i], chi2[i])
-            else:
-                cs[i], qs[i] = reservoir_correlations_one_exc(a2, xi2[i], chi2[i])
-            cons[i] = concurrence_closed_reservoirs(t, alpha, beta, xi[i], chi[i])
+    if partition == "s1s2":
+        cs = classical_correlation_spins_two_exc(b2, xi2, chi2)
+        qs = cs if family == "two_exc" else quantum_correlation_spins_one_exc(a2, xi2, chi2)
+        return cs, qs, concurrence_closed(family, alpha, beta, xi, chi)
+    if partition == "r1r2":
+        if family == "two_exc":
+            cs, qs = reservoir_correlations_two_exc(b2, xi2, chi2)
         else:
-            raise ValueError(f"closed-form pipeline does not cover partition {partition!r}")
-    return cs, qs, cons
+            cs, qs = reservoir_correlations_one_exc(a2, xi2, chi2)
+        return cs, qs, concurrence_closed_reservoirs(family, alpha, beta, xi, chi)
+    raise ValueError(f"closed-form pipeline does not cover partition {partition!r}")
 
 
 def run_sweep(
@@ -154,48 +137,34 @@ def run_sweep(
     times = scenario.time_grid
     amps, states = state_batch(scenario)
 
-    def eval_range(lo: int, hi: int) -> list[CorrelationRecord]:
-        recs: list[CorrelationRecord] = []
-        st = states[lo:hi]
-        am = amps[lo:hi]
-        tt = times[lo:hi]
+    def eval_range(lo: int, hi: int) -> dict:
+        out = {}
         for part in partitions:
-            rhos = reduced_batch(st, part)
             if pipeline in ("closed_form", "both") and part in CLOSED_FORM_PARTITIONS:
-                cs, qs, cons = _closed_values(scenario, part, am)
-                for i, t in enumerate(tt):
-                    recs.append(
-                        CorrelationRecord(
-                            float(t), part, "closed_form",
-                            cs[i] + qs[i], cs[i], qs[i], cons[i], "second",
-                        )
-                    )
+                cs, qs, cons = _closed_values(scenario, part, amps[lo:hi])
+                out[part, "closed_form"] = (cs + qs, cs, qs, cons)
             if pipeline in ("brute_force", "both"):
+                rhos = reduced_batch(states[lo:hi], part)
                 cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
                 info = mutual_information_batch(rhos)
                 qvals = np.where(info - cvals > 0.0, info - cvals, 0.0)
-                cons = concurrence_batch(rhos)
-                for i, t in enumerate(tt):
-                    recs.append(
-                        CorrelationRecord(
-                            float(t), part, "brute_force",
-                            float(info[i]), float(cvals[i]), float(qvals[i]),
-                            float(cons[i]), side,
-                        )
-                    )
-        return recs
+                out[part, "brute_force"] = (info, cvals, qvals, concurrence_batch(rhos))
+        return out
 
     n = len(times)
     if workers <= 1 or n < 2 * workers:
-        records = eval_range(0, n)
+        chunks = [eval_range(0, n)]
     else:
         bounds = np.linspace(0, n, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda se: eval_range(*se), zip(bounds[:-1], bounds[1:])))
-        records = [r for chunk in parts for r in chunk]
+            chunks = list(pool.map(lambda se: eval_range(*se), zip(bounds[:-1], bounds[1:])))
 
-    records.sort(key=lambda r: (r.time, r.partition, r.pipeline))
-    result = SweepResult(scenario, records)
+    values = {
+        (part, pipe, measure): np.concatenate([c[part, pipe][k] for c in chunks])
+        for part, pipe in chunks[0]
+        for k, measure in enumerate(SERIES_MEASURES)
+    }
+    result = SweepResult(scenario, values, side)
     if pipeline == "both":
         result.audits.append(_agreement_audit(result))
     return result
@@ -203,24 +172,21 @@ def run_sweep(
 
 def _agreement_audit(result: SweepResult) -> AuditOutcome:
     """Closed-form vs brute-force agreement over the covered partitions."""
+    audited = ("classical", "quantum", "concurrence")
     worst = 0.0
     worst_where = ""
     for part in CLOSED_FORM_PARTITIONS:
-        closed = {}
-        brute = {}
-        for r in result.records:
-            if r.partition != part:
-                continue
-            (closed if r.pipeline == "closed_form" else brute)[r.time] = r
-        for t, rc in closed.items():
-            rb = brute.get(t)
-            if rb is None:
-                continue
-            for meas in ("classical", "quantum", "concurrence"):
-                dev = abs(getattr(rc, meas) - getattr(rb, meas))
-                if dev > worst:
-                    worst = dev
-                    worst_where = f"{part}/{meas}@t={t:g}"
+        if (part, "closed_form", "classical") not in result.values:
+            continue
+        dev = np.abs(np.stack(
+            [result.series(part, "closed_form", m) - result.series(part, "brute_force", m) for m in audited],
+            axis=1,
+        ))
+        # the first worst cell in (time, measure) order
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[i, j] > worst:
+            worst = dev[i, j]
+            worst_where = f"{part}/{audited[j]}@t={result.times()[i]:g}"
     return AuditOutcome(
         name="closed_vs_brute",
         passed=worst <= _AGREEMENT_TOL,
@@ -232,6 +198,12 @@ def _agreement_audit(result: SweepResult) -> AuditOutcome:
 # ---------------------------------------------------------------------------
 # Asymptotic audits (flat spectral density).
 # ---------------------------------------------------------------------------
+
+
+def _ratio(num: np.ndarray, denom: np.ndarray, floor: float) -> np.ndarray:
+    """num / denom where denom > floor, else 1."""
+    ok = denom > floor
+    return np.where(ok, num / np.where(ok, denom, 1.0), 1.0)
 
 
 def flat_classical_tail_audit(beta2: float, gamma_ts, band=(0.9, 1.1)) -> AuditOutcome:
@@ -250,12 +222,10 @@ def flat_classical_tail_audit(beta2: float, gamma_ts, band=(0.9, 1.1)) -> AuditO
         raise ValueError("flat_classical_tail_audit: need an increasing tail of times")
     if ts[0] < 8.0:
         raise ValueError("flat_classical_tail_audit: tail must start at gamma_t >= 8")
-    ratios = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        xi2 = math.exp(-t)
-        c = classical_correlation_spins_two_exc(beta2, xi2, 1.0 - xi2)
-        lead = (beta2 - beta2 * beta2) * t * math.exp(-2.0 * t) / math.log(2.0)
-        ratios[i] = c / lead if lead > 0.0 else 1.0
+    xi2 = np.exp(-ts)
+    c = classical_correlation_spins_two_exc(beta2, xi2, 1.0 - xi2)
+    lead = (beta2 - beta2 * beta2) * ts * np.exp(-2.0 * ts) / np.log(2.0)
+    ratios = _ratio(c, lead, 0.0)
     gaps = np.abs(ratios - 1.0)
     monotone = bool(np.all(np.diff(gaps) <= 1e-12)) and gaps[-1] <= gaps[0] + 1e-12
     in_band = bool(np.all((ratios >= band[0]) & (ratios <= band[1])))
@@ -295,12 +265,9 @@ def reservoir_transfer_audit(
         if ts.min() < 15.0:
             raise ValueError("reservoir_transfer_audit: two_exc tail must satisfy gamma_t >= 15")
         target = binary_entropy(beta2)
-        devs = []
-        for t in ts:
-            xi2 = math.exp(-t)
-            _, q = reservoir_correlations_two_exc(beta2, xi2, 1.0 - xi2)
-            devs.append(abs(q - target))
-        worst = float(max(devs))
+        xi2 = np.exp(-ts)
+        _, q = reservoir_correlations_two_exc(beta2, xi2, 1.0 - xi2)
+        worst = float(np.abs(q - target).max())
         return AuditOutcome(
             name="reservoir_transfer_two_exc",
             passed=worst < tol,
@@ -310,14 +277,9 @@ def reservoir_transfer_audit(
     if family == "one_exc":
         if ts.min() < 8.0:
             raise ValueError("reservoir_transfer_audit: one_exc tail must satisfy gamma_t >= 8")
-        q0 = binary_entropy(alpha2)
-        ratios = []
-        for t in ts:
-            xi2 = math.exp(-t)
-            q = quantum_correlation_spins_one_exc(alpha2, xi2, 1.0 - xi2)
-            denom = q0 * math.exp(-t)
-            ratios.append(q / denom if denom > 1e-300 else 1.0)
-        ratios = np.array(ratios)
+        xi2 = np.exp(-ts)
+        q = quantum_correlation_spins_one_exc(alpha2, xi2, 1.0 - xi2)
+        ratios = _ratio(q, binary_entropy(alpha2) * xi2, 1e-300)
         in_band = bool(np.all((ratios >= band[0]) & (ratios <= band[1])))
         return AuditOutcome(
             name="reservoir_transfer_one_exc",
@@ -337,13 +299,12 @@ def square_sum_series(result: SweepResult, measure: str) -> np.ndarray:
     """Sum of squared measures over the four non-interacting partitions."""
     if measure not in MEASURES:
         raise ValueError(f"square_sum_series: measure must be one of {MEASURES}")
-    present = {r.partition for r in result.records}
+    present = {part for part, _, _ in result.values}
     if present != set(SQUARE_SUM_PARTITIONS):
         raise ValueError(
-            f"square_sum_series: records must cover exactly {SQUARE_SUM_PARTITIONS}, got {sorted(present)}"
+            f"square_sum_series: sweep must cover exactly {SQUARE_SUM_PARTITIONS}, got {sorted(present)}"
         )
-    pipelines = {r.pipeline for r in result.records}
-    pipe = "brute_force" if "brute_force" in pipelines else "closed_form"
+    pipe = result.main_pipeline()
     total = None
     for part in SQUARE_SUM_PARTITIONS:
         vals = result.series(part, pipe, measure)

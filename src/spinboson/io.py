@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SweepResult, run_sweep
+from .experiments import SERIES_MEASURES, SweepResult, run_sweep
 from .model import PARTITION_ORDER, PARTITIONS, Scenario, SpectralDensity
 
 CSV_HEADER = "time,partition,pipeline,mutual_info,classical,quantum,concurrence,measured_side"
@@ -171,6 +171,18 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError("config: time_end must exceed time_start")
     if time_start < 0.0:
         raise ValueError("config: time_start must be >= 0")
+    # the evolution runs on rate * time (largest at time_end, as
+    # 0 <= time_start < time_end), and amplitudes_lorentz on W / lambda and
+    # the phase sqrt(4 (W / lambda)^2 - 1) * lambda * t
+    if not math.isfinite(spectral.rate * time_end):
+        rate = "gamma" if kind == "flat" else "lambda"
+        raise ValueError(f"config: spectral.{rate} * time_end is not finite")
+    if kind == "lorentz":
+        ratio = spectral.W / spectral.lam
+        if not math.isfinite(ratio) or ratio == 0.0:
+            raise ValueError(f"config: spectral W / lambda is {ratio!r}; must be finite and nonzero")
+        if not math.isfinite(math.sqrt(max(0.0, 4.0 * ratio * ratio - 1.0)) * spectral.lam * time_end):
+            raise ValueError("config: spectral W / lambda and time_end give a non-finite oscillation phase")
 
     partitions = doc.get("partitions", list(PARTITION_ORDER))
     if not isinstance(partitions, list):
@@ -264,19 +276,20 @@ def _fmt(x: float) -> str:
 
 
 def emit_csv(result: SweepResult, path) -> Path:
-    """Write a sweep as CSV with a fixed schema and deterministic bytes."""
-    rows = sorted(result.records, key=lambda r: (r.time, r.partition, r.pipeline))
+    """Write a sweep as CSV with a fixed schema and deterministic bytes.
+
+    Rows are ordered by (time, partition, pipeline).
+    """
+    pairs = sorted({(part, pipe) for part, pipe, _ in result.values})
+    columns = [
+        (f"{part},{pipe}", [result.series(part, pipe, m) for m in SERIES_MEASURES],
+         result.side if pipe == "brute_force" else "second")
+        for part, pipe in pairs
+    ]
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.time), r.partition, r.pipeline,
-                    _fmt(r.mutual_info), _fmt(r.classical), _fmt(r.quantum),
-                    _fmt(r.concurrence), r.measured_side,
-                )
-            )
-        )
+    for i, t in enumerate(result.times()):
+        for label, cols, side in columns:
+            lines.append(",".join((_fmt(t), label, *(_fmt(c[i]) for c in cols), side)))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
     return Path(path)
 
@@ -289,17 +302,6 @@ _PANEL_PARTITIONS = ("s1s2", "r1r2", "s1r1", "s1r2")
 
 _PRIMARY_STYLE = {"quantum": ("#2040c8", "diamond"), "classical": ("#c030b8", "square")}
 _OVERLAY_STYLE = {"quantum": ("#303030", "triangle"), "classical": ("#d03030", "circle")}
-
-
-def _series_points(result: SweepResult, partition: str, measure: str):
-    pipes = {r.pipeline for r in result.records}
-    pipe = "brute_force" if "brute_force" in pipes else "closed_form"
-    pts = [
-        (r.time, getattr(r, measure))
-        for r in result.records
-        if r.partition == partition and r.pipeline == pipe
-    ]
-    return sorted(pts)
 
 
 def _marker(shape: str, x: float, y: float, color: str, size: float = 3.2) -> str:
@@ -324,12 +326,13 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
     marker family, matching the two-initial-state layout of the reference
     figures.  Single-point series degenerate to markers with no path.
     """
-    if not result.records:
-        raise ValueError("emit_svg_plot: empty record set")
+    if not result.values:
+        raise ValueError("emit_svg_plot: empty sweep")
     measures = tuple(measure_set)
-    panels = [p for p in _PANEL_PARTITIONS if any(r.partition == p for r in result.records)]
+    present = {part for part, _, _ in result.values}
+    panels = [p for p in _PANEL_PARTITIONS if p in present]
     if not panels:
-        panels = [p for p in PARTITION_ORDER if any(r.partition == p for r in result.records)]
+        panels = [p for p in PARTITION_ORDER if p in present]
     panels = panels[:4]
 
     width, height = 880, 640
@@ -348,8 +351,8 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
         legend += "; overlay Q: triangles / C: circles"
     out.append(f'<text x="70" y="20" font-size="12">{legend}</text>')
 
-    all_times = [r.time for r in result.records]
-    tmin, tmax = min(all_times), max(all_times)
+    times = result.times()
+    tmin, tmax = float(times[0]), float(times[-1])
     span_t = tmax - tmin if tmax > tmin else 1.0
 
     for i, part in enumerate(panels):
@@ -361,9 +364,9 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
         ymax = 0.0
         for src, _ in sources:
             for meas in measures:
-                pts = _series_points(src, part, meas)
-                if pts:
-                    ymax = max(ymax, max(v for _, v in pts))
+                vals = src.series(part, src.main_pipeline(), meas)
+                if vals.size:
+                    ymax = max(ymax, float(vals.max()))
         ymax = max(ymax, 1e-12) * 1.08
 
         def sx(t):
@@ -394,16 +397,17 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
         )
 
         for src, style in sources:
+            src_times = src.times()
             for meas in measures:
-                pts = _series_points(src, part, meas)
-                if not pts:
+                vals = src.series(part, src.main_pipeline(), meas)
+                if not vals.size:
                     continue
                 color, shape = style.get(meas, ("#208020", "circle"))
-                if len(pts) >= 2:
-                    d = "M " + " L ".join(f"{sx(t):.2f} {sy(v):.2f}" for t, v in pts)
+                if vals.size >= 2:
+                    d = "M " + " L ".join(f"{sx(t):.2f} {sy(v):.2f}" for t, v in zip(src_times, vals))
                     out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
-                stride = max(1, len(pts) // 24)
-                for t, v in pts[::stride]:
+                stride = max(1, vals.size // 24)
+                for t, v in zip(src_times[::stride], vals[::stride]):
                     out.append(_marker(shape, sx(t), sy(v), color))
 
     out.append("</svg>")

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for small Hermitian operators.
 
 Every Hilbert space in this package has dimension 2, 4, 8 or 16 (two spins
-plus two collective reservoir modes), so the routines here favour exactness
-and reproducibility over asymptotic speed.  The eigensolver is a cyclic
-Jacobi iteration: at these sizes it converges in a handful of sweeps, and
-because each matrix in a batch is rotated and frozen independently, results
-are bitwise identical no matter how a workload is chunked across threads.
+plus two collective reservoir modes).  Spectra come from numpy's LAPACK
+eigensolver (``np.linalg.eigh``/``eigvalsh``), which diagonalises each
+matrix of a stack on its own, so a state's eigenvalues do not depend on
+what else shares its batch.  The single-matrix wrappers here validate
+their input and return eigenvalues in descending order.
 
 All entropies are in bits (log base 2).
 """
@@ -15,10 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 MAX_DIM = 16
-
-# Off-diagonal Frobenius norm below which a matrix counts as diagonalised.
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -96,89 +92,17 @@ def _check_hermitian(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
-def jacobi_eigh_batch(mats: np.ndarray, vectors: bool = False):
-    """Diagonalise a batch of Hermitian matrices by cyclic Jacobi rotations.
-
-    Parameters
-    ----------
-    mats : (N, d, d) complex array, each slice Hermitian.
-    vectors : when True also accumulate eigenvectors.
-
-    Returns
-    -------
-    vals : (N, d) real eigenvalues in descending order.
-    vecs : (N, d, d) eigenvector columns matching ``vals``; only when
-        ``vectors`` is True.
-
-    Each matrix converges and freezes on its own, so the numbers produced
-    for one matrix do not depend on what else shares the batch.
-    """
-    a = np.array(mats, dtype=complex)
-    n, d, d2 = a.shape
-    if d != d2:
-        raise ValueError("jacobi_eigh_batch: matrices must be square")
-    v = np.tile(np.eye(d, dtype=complex), (n, 1, 1)) if vectors else None
-
-    idx = ~np.eye(d, dtype=bool)
-    # 1e-13 absolute for unit-scale states, relative beyond that
-    tol = _JACOBI_TOL * np.maximum(1.0, np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2))))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a[:, idx]) ** 2, axis=1))
-        active = off >= tol
-        if not active.any():
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                mod = np.abs(apq)
-                rot = active & (mod > 1e-300)
-                if not rot.any():
-                    continue
-                safe = np.where(mod > 1e-300, mod, 1.0)
-                u = np.where(rot, apq / safe, 1.0)
-                tau = np.where(rot, (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe), 0.0)
-                sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                t = np.where(rot, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                su = s * u
-                suc = s * u.conj()
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * colp - suc[:, None] * colq
-                a[:, :, q] = su[:, None] * colp + c[:, None] * colq
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rowp - su[:, None] * rowq
-                a[:, q, :] = suc[:, None] * rowp + c[:, None] * rowq
-                if vectors:
-                    vp = v[:, :, p].copy()
-                    vq = v[:, :, q].copy()
-                    v[:, :, p] = c[:, None] * vp - suc[:, None] * vq
-                    v[:, :, q] = su[:, None] * vp + c[:, None] * vq
-    else:
-        raise ArithmeticError("jacobi_eigh_batch: no convergence within sweep limit")
-
-    vals = np.real(a[:, np.arange(d), np.arange(d)])
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    if vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-        return vals, v
-    return vals
-
-
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending."""
     m = _check_hermitian(m, "hermitian_eigenvalues")
-    return jacobi_eigh_batch(m[None])[0]
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def hermitian_eigensystem(m: np.ndarray):
     """Eigenvalues (descending) and matching eigenvector columns."""
     m = _check_hermitian(m, "hermitian_eigensystem")
-    vals, vecs = jacobi_eigh_batch(m[None], vectors=True)
-    return vals[0], vecs[0]
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def binary_entropy(x):

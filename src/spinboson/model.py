@@ -155,6 +155,8 @@ class Scenario:
         grid = np.asarray(self.time_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("Scenario: time_grid must be a non-empty 1-d array")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("Scenario: time_grid must be finite")
         if grid[0] < 0.0:
             raise ValueError("Scenario: time_grid must start at or after 0")
         if grid.size > 1 and np.any(np.diff(grid) <= 0.0):

@@ -11,6 +11,7 @@ from spinboson.correlations import (
     classical_correlation_bruteforce,
     classical_correlation_spins_one_exc,
     classical_correlation_spins_two_exc,
+    concurrence_batch,
     concurrence_closed,
     concurrence_closed_reservoirs,
     concurrence_wootters,
@@ -465,3 +466,90 @@ class TestXStatePath:
             alone = classical_correlation_batch(rho[None], "second", 16, 2)
             for got, want in zip(batch, alone):
                 assert got[i] == want[0]
+
+
+class TestBatchComposition:
+    """A state's mutual information and concurrence do not depend on its batch."""
+
+    @staticmethod
+    def model_states():
+        rhos = []
+        for family in ("two_exc", "one_exc"):
+            for spectral, end in ((SpectralDensity("flat", gamma=1.0), 5.0),
+                                  (SpectralDensity("lorentz", W=RATIO, lam=1.0), 2.0)):
+                _, states = state_batch(Scenario(family, *LOPSIDED, spectral, np.linspace(0.0, end, 7)))
+                rhos += [reduced_batch(states, p) for p in PARTITION_ORDER]
+        return np.concatenate(rhos)
+
+    @pytest.mark.parametrize("kind", ["general", "model_x"])
+    @pytest.mark.parametrize("measure", [mutual_information_batch, concurrence_batch])
+    def test_batch_reversed_and_single_states_agree_bitwise(self, kind, measure):
+        if kind == "general":
+            rhos = general_states(np.random.default_rng(31), 40)
+        else:
+            rhos = self.model_states()
+            assert np.all(rhos[:, _OFF_X] == 0.0)
+        batch = measure(rhos)
+        assert batch.shape == (len(rhos),)
+        assert np.array_equal(measure(rhos[::-1])[::-1], batch)
+        assert np.array_equal(np.concatenate([measure(rho[None]) for rho in rhos]), batch)
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+# (function, name of the weight argument)
+CLOSED_FORMS = [
+    (classical_correlation_spins_two_exc, "beta2"),
+    (quantum_correlation_spins_two_exc, "beta2"),
+    (reservoir_correlations_two_exc, "beta2"),
+    (classical_correlation_spins_one_exc, "alpha2"),
+    (quantum_correlation_spins_one_exc, "alpha2"),
+    (reservoir_correlations_one_exc, "alpha2"),
+]
+
+
+class TestClosedFormArrays:
+    """Array arguments give bitwise the values of elementwise scalar calls."""
+
+    XI2 = np.concatenate([[0.0, 1.0, 0.5, 1e-300], np.random.default_rng(6).uniform(0.0, 1.0, 40)])
+    WEIGHTS = np.array([[0.0], [0.1], [0.5], [0.9], [1.0]])
+
+    @pytest.mark.parametrize("fn", [f for f, _ in CLOSED_FORMS], ids=lambda f: f.__name__)
+    def test_matches_scalar_calls(self, fn):
+        chi2 = 1.0 - self.XI2
+        got = np.asarray(fn(self.WEIGHTS, self.XI2, chi2))
+        w, x, c = np.broadcast_arrays(self.WEIGHTS, self.XI2, chi2)
+        want = np.array([fn(float(a), float(b), float(d)) for a, b, d in zip(w.ravel(), x.ravel(), c.ravel())])
+        want = np.moveaxis(want, 0, -1) if want.ndim == 2 else want
+        assert np.array_equal(bits(got), bits(want.reshape(got.shape)))
+        assert isinstance(fn(0.3, 0.4, 0.6), (float, tuple))
+
+    @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
+    @pytest.mark.parametrize("fn", [concurrence_closed, concurrence_closed_reservoirs])
+    def test_concurrence_matches_scalar_calls(self, family, fn):
+        # Lorentzian amplitudes: xi changes sign
+        amps = np.array([amplitudes_lorentz(t, RATIO) for t in np.linspace(0.0, 2.0, 41)])
+        xi, chi = amps[:, 0], amps[:, 1]
+        for alpha, beta in (BELL, LOPSIDED, (1.0, 0.0)):
+            got = fn(family, alpha, beta, xi, chi)
+            want = np.array([fn(family, alpha, beta, float(a), float(b)) for a, b in zip(xi, chi)])
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("fn,weight", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [-0.2, 1.2])
+    def test_out_of_range_entry_named(self, fn, weight, position, bad):
+        args = [np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5)]
+        args[position][3] = bad
+        name = (weight, "xi2", "chi2")[position]
+        with pytest.raises(ValueError, match=name):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn", [f for f, _ in CLOSED_FORMS], ids=lambda f: f.__name__)
+    def test_unnormalised_entry_named(self, fn):
+        xi2 = np.array([0.2, 0.4, 0.6])
+        chi2 = np.array([0.8, 0.7, 0.4])
+        with pytest.raises(ValueError, match="xi2 \\+ chi2 must be 1"):
+            fn(0.5, xi2, chi2)

@@ -62,21 +62,19 @@ class TestRunSweep:
     def test_initial_reservoir_rows_zero(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
         res = run_sweep(sc, ("r1r2", "s1r1", "s1r2"), "brute_force", grid=16, refine_iters=2)
-        for r in res.records:
-            if r.time == 0.0:
-                assert r.classical < 1e-9
-                assert r.quantum < 1e-9
-                assert r.concurrence < 1e-9
+        assert res.times()[0] == 0.0
+        for part in ("r1r2", "s1r1", "s1r2"):
+            for measure in ("classical", "quantum", "concurrence"):
+                assert res.series(part, "brute_force", measure)[0] < 1e-9
 
     def test_each_grid_point_once_per_pipeline(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
-        seen = {}
-        for r in res.records:
-            key = (r.time, r.partition, r.pipeline)
-            seen[key] = seen.get(key, 0) + 1
-        assert all(v == 1 for v in seen.values())
-        assert len(seen) == 3 * 2 * 2
+        assert np.array_equal(res.times(), [0.0, 0.7, 1.9])
+        for part in ("s1s2", "r1r2"):
+            for pipe in ("closed_form", "brute_force"):
+                for measure in ("mutual_info", "classical", "quantum", "concurrence"):
+                    assert res.series(part, pipe, measure).shape == (3,)
 
     def test_both_pipelines_agree(self):
         sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 9))
@@ -95,12 +93,12 @@ class TestRunSweep:
         sc = Scenario("two_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 12))
         r1 = run_sweep(sc, ("s1s2", "s1r2"), "brute_force", grid=12, refine_iters=2, workers=1)
         r3 = run_sweep(sc, ("s1s2", "s1r2"), "brute_force", grid=12, refine_iters=2, workers=3)
-        for a, b in zip(r1.records, r3.records):
-            assert (a.time, a.partition) == (b.time, b.partition)
-            assert a.classical == b.classical
-            assert a.quantum == b.quantum
-            assert a.mutual_info == b.mutual_info
-            assert a.concurrence == b.concurrence
+        assert np.array_equal(r1.times(), r3.times())
+        for part in ("s1s2", "s1r2"):
+            for measure in ("classical", "quantum", "mutual_info", "concurrence"):
+                a = r1.series(part, "brute_force", measure)
+                b = r3.series(part, "brute_force", measure)
+                assert a.shape == (12,) and np.array_equal(a, b)
 
 
 class TestFlatTailAudit:

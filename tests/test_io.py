@@ -214,6 +214,27 @@ class TestConfigHardening:
             parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "spectral,time_end,message",
+        [
+            # each input is finite; the grid gamma * t was [0, inf, inf] and ran
+            ({"kind": "flat", "gamma": 1e300}, 1e10, "spectral.gamma * time_end is not finite"),
+            # W / lambda = inf made amplitudes_lorentz fail with "math domain error"
+            ({"kind": "lorentz", "W": 1e300, "lambda": 1e-300}, 5.0, "spectral W / lambda is inf"),
+            # W / lambda = 0 made amplitudes_lorentz reject its own argument
+            ({"kind": "lorentz", "W": 1e-300, "lambda": 1e300}, 5.0, "spectral W / lambda is 0.0"),
+            ({"kind": "lorentz", "W": 1e200, "lambda": 1.0}, 5.0,
+             "spectral W / lambda and time_end give a non-finite oscillation phase"),
+        ],
+        ids=["gamma_time_overflow", "ratio_overflow", "ratio_underflow", "phase_overflow"],
+    )
+    def test_overflowing_spectral_products_rejected(self, tmp_path, capsys, spectral, time_end, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bell_doc(spectral=spectral, time_end=time_end)))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"error: config: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
         "flags,field", [(["--grid", str(MAX_GRID + 1)], "grid"), (["--grid", "1"], "grid"),
                         (["--refine", "-1"], "refine_iters"), (["--refine", "99"], "refine_iters")],
     )

@@ -206,6 +206,12 @@ class TestScenario:
         with pytest.raises(ValueError, match="0"):
             Scenario("two_exc", 1.0, 0.0, flat, np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("grid", [[0.0, np.inf, np.inf], [0.0, np.nan]])
+    def test_non_finite_grid_rejected(self, grid):
+        # [0, inf, inf] passed the increasing check: inf - inf is nan, and nan <= 0 is False
+        with pytest.raises(ValueError, match="finite"):
+            Scenario("two_exc", 1.0, 0.0, SpectralDensity("flat", gamma=1.0), np.array(grid))
+
     def test_spectral_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             SpectralDensity("flat", gamma=0.0)
