@@ -69,16 +69,17 @@ class SweepResult:
     """
 
     scenario: Scenario
-    values: dict = field(default_factory=dict)
-    side: str = "second"
+    values: dict
+    side: str
     audits: list[AuditOutcome] = field(default_factory=list)
 
     def series(self, partition: str, pipeline: str, measure: str) -> np.ndarray:
-        """Time-ordered values of one measure; empty if the sweep lacks it."""
-        return self.values.get((partition, pipeline, measure), np.empty(0))
+        """Time-ordered values of one measure (a copy); empty if the sweep lacks it."""
+        return self.values.get((partition, pipeline, measure), np.empty(0)).copy()
 
     def times(self) -> np.ndarray:
-        return self.scenario.time_grid
+        """The grid times (a copy)."""
+        return self.scenario.time_grid.copy()
 
     def main_pipeline(self) -> str:
         """``brute_force`` when the sweep ran it (it covers every partition)."""
@@ -182,6 +183,8 @@ def _agreement_audit(result: SweepResult) -> AuditOutcome:
             [result.series(part, "closed_form", m) - result.series(part, "brute_force", m) for m in audited],
             axis=1,
         ))
+        # a non-finite deviation is a failed comparison, not a skipped one
+        dev[~np.isfinite(dev)] = np.inf
         # the first worst cell in (time, measure) order
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[i, j] > worst:

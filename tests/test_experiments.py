@@ -5,7 +5,9 @@ import pytest
 
 from spinboson.correlations import concurrence_wootters, quantum_correlation_spins_two_exc
 from spinboson.experiments import (
+    SERIES_MEASURES,
     SQUARE_SUM_PARTITIONS,
+    _agreement_audit,
     bisect_positive_boundary,
     bisect_root,
     count_local_maxima,
@@ -71,10 +73,15 @@ class TestRunSweep:
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
         assert np.array_equal(res.times(), [0.0, 0.7, 1.9])
-        for part in ("s1s2", "r1r2"):
-            for pipe in ("closed_form", "brute_force"):
-                for measure in ("mutual_info", "classical", "quantum", "concurrence"):
-                    assert res.series(part, pipe, measure).shape == (3,)
+        keys = {
+            (part, pipe, measure)
+            for part in ("s1s2", "r1r2")
+            for pipe in ("closed_form", "brute_force")
+            for measure in SERIES_MEASURES
+        }
+        assert set(res.values) == keys
+        for key in keys:
+            assert res.series(*key).shape == (3,)
 
     def test_both_pipelines_agree(self):
         sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 9))
@@ -83,6 +90,27 @@ class TestRunSweep:
         assert audit.name == "closed_vs_brute"
         assert audit.passed
         assert audit.margin < 1e-6
+
+    def test_non_finite_cell_fails_agreement(self):
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
+        res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
+        assert res.audits[0].passed
+        res.values["r1r2", "brute_force", "quantum"][1] = np.nan
+        audit = _agreement_audit(res)
+        assert not audit.passed
+        assert audit.margin == np.inf
+        assert audit.details["worst_at"] == "r1r2/quantum@t=0.7"
+
+    def test_series_and_times_are_copies(self):
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
+        res = run_sweep(sc, ("s1s2",), "closed_form")
+        q = res.series("s1s2", "closed_form", "quantum")
+        before = q.tolist()
+        t = res.times()
+        q -= 1.0
+        t += 1.0
+        assert res.series("s1s2", "closed_form", "quantum").tolist() == before
+        assert res.times().tolist() == sc.time_grid.tolist() == [0.0, 0.7, 1.9]
 
     def test_closed_form_rejected_off_diagonal_pairs(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))

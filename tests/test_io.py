@@ -316,7 +316,7 @@ class TestEmitSvg:
     def test_empty_records_rejected(self, small_sweep, tmp_path):
         from spinboson.experiments import SweepResult
 
-        empty = SweepResult(small_sweep.scenario, [])
+        empty = SweepResult(small_sweep.scenario, {}, "second")
         with pytest.raises(ValueError, match="empty"):
             emit_svg_plot(empty, ("quantum",), tmp_path / "p.svg")
 
