@@ -13,7 +13,8 @@ diagonal and the anti-diagonal are exactly zero (every partition of both
 families is one at every time), get the measurement azimuth in closed
 form from the state's correlation matrix and a one-dimensional search
 over the polar angle.  Every other state gets a deterministic mesh scan
-over (polar, azimuth) plus local refinement.  The test is for exact
+over (polar, azimuth) on the upper hemisphere plus local refinement.  Both
+paths work on the real Bloch form of the state.  The test is for exact
 zeros, so a state with round-off in those entries takes the mesh scan.
 
 The measurement class is restricted to rank-1 projective measurements.
@@ -38,6 +39,7 @@ import numpy as np
 from .linalg import (
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     binary_entropy,
     entropy2_batch,
     entropy_from_eigenvalues,
@@ -47,7 +49,10 @@ from .linalg import (
 _SPIN_FLIP = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
 )
-_PAULI_XY = np.stack([SIGMA_X, SIGMA_Y])
+# identity first: R_uv = Tr(rho sigma_u x sigma_v) holds a, b and T of the
+# Bloch form in its first column, first row and lower-right block
+_PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULI_XY = _PAULI[1:3]
 
 # Entries off the diagonal and the anti-diagonal; all are exactly zero in
 # an X state.
@@ -58,6 +63,10 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 _P_FLOOR = 1e-14
 
 _DISCORD_CLAMP = -1e-8
+
+# Measurement axes per slice of states, bounding the (states, axes) work
+# arrays: 2^13 beat 2^14 and 2^15 on the benchmark panel (2 MiB L2 cache).
+_SLICE_AXES = 2**13
 
 SIDES = ("first", "second")
 
@@ -70,21 +79,10 @@ class MeasurementAxis(NamedTuple):
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair (P+, P-) = ((I +- n.sigma)/2) for this axis."""
-        plus = _axis_projectors(np.array([[self.theta]]), np.array([[self.phi]]))[0, 0]
-        return plus, np.eye(2, dtype=complex) - plus
-
-
-def _axis_projectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projector P+ for each axis; theta/phi of shape (N, K) -> (N, K, 2, 2)."""
-    st = np.sin(theta)
-    ct = np.cos(theta)
-    off = 0.5 * st * np.exp(-1j * phi)
-    p = np.empty(theta.shape + (2, 2), dtype=complex)
-    p[..., 0, 0] = 0.5 * (1.0 + ct)
-    p[..., 1, 1] = 0.5 * (1.0 - ct)
-    p[..., 0, 1] = off
-    p[..., 1, 0] = off.conj()
-    return p
+        st = np.sin(self.theta)
+        n = np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
+        plus = 0.5 * (_PAULI[0] + np.tensordot(n, _PAULI[1:], 1))
+        return plus, _PAULI[0] - plus
 
 
 def _require_state(rho: np.ndarray, who: str) -> np.ndarray:
@@ -102,16 +100,12 @@ def _require_state(rho: np.ndarray, who: str) -> np.ndarray:
     return rho
 
 
-def _marginals_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r4 = rhos.reshape(-1, 2, 2, 2, 2)
-    return np.einsum("nabcb->nac", r4), np.einsum("nabad->nbd", r4)
-
-
 def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
     """I = S(A) + S(B) - S(AB) for a stack of two-qubit states, in bits."""
-    ra, rb = _marginals_batch(rhos)
-    s_ab = entropy_from_eigenvalues(np.linalg.eigvalsh(rhos))
-    return entropy2_batch(ra) + entropy2_batch(rb) - s_ab
+    r4 = rhos.reshape(-1, 2, 2, 2, 2)
+    s_a = entropy2_batch(np.einsum("nabcb->nac", r4))
+    s_b = entropy2_batch(np.einsum("nabad->nbd", r4))
+    return s_a + s_b - entropy_from_eigenvalues(np.linalg.eigvalsh(rhos))
 
 
 def mutual_information(rho: np.ndarray) -> float:
@@ -120,33 +114,11 @@ def mutual_information(rho: np.ndarray) -> float:
     return float(mutual_information_batch(rho[None])[0])
 
 
-def _conditional_entropy_term(m00, m01, m11) -> np.ndarray:
-    """p * S(m / p) for unnormalised 2x2 conditionals, 0 when p vanishes."""
-    p = m00.real + m11.real
-    det = (m00 * m11).real - (m01.real**2 + m01.imag**2)
-    disc = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-    ok = p > _P_FLOOR
-    lam = np.where(ok, (p + disc) / np.where(ok, 2.0 * p, 1.0), 0.0)
-    return np.where(ok, p, 0.0) * binary_entropy(np.clip(lam, 0.0, 1.0))
-
-
-def _lex_argmax(val: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """Per-row argmax of (val, th, ph) tuples with exact lexicographic ties."""
-    vmax = val.max(axis=1, keepdims=True)
-    tie = val == vmax
-    tmax = np.where(tie, th, -1.0).max(axis=1, keepdims=True)
-    tie &= th == tmax
-    pmax = np.where(tie, ph, -1.0).max(axis=1, keepdims=True)
-    tie &= ph == pmax
-    return np.argmax(tie, axis=1)
-
-
 def classical_correlation_batch(
     rhos: np.ndarray,
     side: str = "second",
     grid: int = 64,
     refine_iters: int = 4,
-    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
@@ -155,14 +127,16 @@ def classical_correlation_batch(
     follows in closed form from the correlation matrix, and ``grid`` points
     of the polar angle theta in [0, pi/2] are scanned and then refined
     ``refine_iters`` times, the search interval shrinking five-fold around
-    the best theta each round.  Every other state scans a uniform ``grid``
-    x ``grid`` mesh over theta in [0, pi] and phi in [0, 2 pi] and refines
-    the box around the best axis the same way.  Ties are broken
-    lexicographically on (value, theta, phi), so the result is
-    deterministic and independent of batching.  ``chunk`` bounds the work
-    arrays: states per mesh scan, or ``chunk * grid`` X states per scan.
+    the best theta each round.  Every other state scans a ``grid`` x
+    ``grid`` mesh over the upper hemisphere, theta in [0, pi/2] and phi in
+    [0, 2 pi), and refines a box around the best axis ``refine_iters``
+    times, shrinking it eight-fold each round; the box is not clipped, so
+    it may cross the pole or phi = 2 pi.  The search is deterministic and
+    each state's result is independent of its batch.  States are processed
+    in slices of at most ``_SLICE_AXES`` measurement axes per scan.
 
-    Returns (values, thetas, phis), each of shape (N,).
+    Returns (values, thetas, phis), each of shape (N,), with theta in
+    [0, pi] and phi in [0, 2 pi).
     """
     if side not in SIDES:
         raise ValueError(f"classical_correlation: side must be one of {SIDES}")
@@ -170,17 +144,15 @@ def classical_correlation_batch(
         raise ValueError("classical_correlation: grid must be >= 2 and refine_iters >= 0")
     rhos = np.asarray(rhos, dtype=complex)
     n = rhos.shape[0]
-    if chunk is None:
-        # keep the (chunk, grid^2, 4) work arrays comfortably in cache
-        chunk = max(8, min(2048, 300_000 // (grid * grid)))
     values = np.empty(n)
     thetas = np.empty(n)
     phis = np.empty(n)
     is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
-    for rows, solve, size in (
-        (np.flatnonzero(is_x), _cc_x, chunk * grid),
-        (np.flatnonzero(~is_x), _cc_chunk, chunk),
+    for rows, solve, axes in (
+        (np.flatnonzero(is_x), _cc_x, grid),
+        (np.flatnonzero(~is_x), _cc_mesh, grid * grid),
     ):
+        size = max(1, _SLICE_AXES // axes)
         for lo in range(0, len(rows), size):
             sel = rows[lo:lo + size]
             values[sel], thetas[sel], phis[sel] = solve(rhos[sel], side, grid, refine_iters)
@@ -253,71 +225,67 @@ def _cc_x(rhos, side, grid, refine_iters):
     return np.maximum(best_v, 0.0), best_t, phi
 
 
-def _cc_chunk(rhos, side, grid, refine_iters):
-    n = rhos.shape[0]
-    r4 = rhos.reshape(n, 2, 2, 2, 2)
-    ra, rb = _marginals_batch(rhos)
-    est = ra if side == "second" else rb
-    s_est = entropy2_batch(est)
+def _cc_mesh(rhos, side, grid, refine_iters):
+    """Optimiser for general states in the real Bloch form.
 
-    # Flatten so a conditional state is one matvec: rows index the kept
-    # pair (a, c) of the conditional, columns the projector pair (d, b).
-    if side == "second":
-        rmat = np.ascontiguousarray(np.transpose(r4, (0, 1, 3, 4, 2)).reshape(n, 4, 4))
-    else:
-        rmat = np.ascontiguousarray(np.transpose(r4, (0, 2, 4, 3, 1)).reshape(n, 4, 4))
-    rmat_t = np.ascontiguousarray(np.swapaxes(rmat, 1, 2))
-    est_flat = est.reshape(n, 4)
+    The objective of :func:`_cc_x`, S(A) - sum_+- p+- H((1 + |a +- T n| /
+    (2 p+-)) / 2), over both angles of n (Girolami & Adesso, PRA 83, 052108
+    (2011)).  n and -n are the same measurement, so the first mesh covers
+    the upper hemisphere.  (theta, phi) -> n is smooth and periodic, so the
+    refinement boxes need no clipping; n(-theta, phi) = n(theta, phi + pi)
+    normalises the returned axis.
+    """
+    n = rhos.shape[0]
+    r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
+    if side == "first":
+        r = np.swapaxes(r, 1, 2)
+    # a of the kept qubit, b of the measured one
+    a, b, t = r[:, 1:, 0, None], r[:, 0, 1:], r[:, 1:, 1:]
+    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.linalg.norm(a, axis=1), 1.0)))
 
     frac = np.linspace(0.0, 1.0, grid)
-    mesh_t, mesh_p = np.meshgrid(frac, frac, indexing="ij")
-    mesh_t = mesh_t.ravel()[None, :]  # (1, K)
-    mesh_p = mesh_p.ravel()[None, :]
-
-    t_lo = np.zeros(n)
-    t_hi = np.full(n, np.pi)
-    p_lo = np.zeros(n)
-    p_hi = np.full(n, 2.0 * np.pi)
+    mesh_t, mesh_p = (m.ravel() for m in np.meshgrid(frac, frac, indexing="ij"))
+    span_t = 0.5 * np.pi
+    span_p = 2.0 * np.pi * (grid - 1) / grid
+    t_lo = np.zeros((n, 1))
+    p_lo = np.zeros((n, 1))
     best_v = np.full(n, -np.inf)
     best_t = np.zeros(n)
     best_p = np.zeros(n)
-
-    proj = np.empty((n, mesh_t.shape[1], 4), dtype=complex)
+    rows = np.arange(n)
     for _ in range(refine_iters + 1):
-        th = t_lo[:, None] + (t_hi - t_lo)[:, None] * mesh_t
-        ph = p_lo[:, None] + (p_hi - p_lo)[:, None] * mesh_p
-        ct = np.cos(th)
-        off = 0.5 * np.sin(th) * np.exp(1j * ph)
-        proj[..., 0] = 0.5 * (1.0 + ct)  # P[0, 0]
-        proj[..., 1] = off.conj()        # P[0, 1]
-        proj[..., 2] = off               # P[1, 0]
-        proj[..., 3] = 0.5 * (1.0 - ct)  # P[1, 1]
-        m_plus = proj @ rmat_t           # (n, K, 4) conditional entries (00, 01, 10, 11)
-        m_minus = est_flat[:, None, :] - m_plus
-        val = (
-            s_est[:, None]
-            - _conditional_entropy_term(m_plus[..., 0], m_plus[..., 1], m_plus[..., 3])
-            - _conditional_entropy_term(m_minus[..., 0], m_minus[..., 1], m_minus[..., 3])
-        )
+        th = t_lo + span_t * mesh_t
+        ph = p_lo + span_p * mesh_p
+        st = np.sin(th)
+        axis = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
+        bn = np.einsum("nj,njk->nk", b, axis)
+        tn = np.einsum("nij,njk->nik", t, axis)
+        val = s_est
+        for sign in (1.0, -1.0):
+            p = 0.5 * (1.0 + sign * bn)
+            length = np.linalg.norm(a + sign * tn, axis=1)
+            ok = p > _P_FLOOR
+            radius = np.minimum(np.where(ok, length / np.where(ok, 2.0 * p, 1.0), 0.0), 1.0)
+            val = val - np.where(ok, p, 0.0) * binary_entropy(0.5 * (1.0 + radius))
 
-        idx = _lex_argmax(val, th, ph)
-        rows = np.arange(n)
-        cand_v, cand_t, cand_p = val[rows, idx], th[rows, idx], ph[rows, idx]
-        better = (cand_v > best_v) | (
-            (cand_v == best_v) & ((cand_t > best_t) | ((cand_t == best_t) & (cand_p > best_p)))
-        )
+        # ties keep the first maximum, in mesh order and then round order
+        idx = np.argmax(val, axis=1)
+        cand_v = val[rows, idx]
+        better = cand_v > best_v
         best_v = np.where(better, cand_v, best_v)
-        best_t = np.where(better, cand_t, best_t)
-        best_p = np.where(better, cand_p, best_p)
+        best_t = np.where(better, th[rows, idx], best_t)
+        best_p = np.where(better, ph[rows, idx], best_p)
 
-        span_t = (t_hi - t_lo) / 5.0
-        span_p = (p_hi - p_lo) / 5.0
-        t_lo = np.clip(best_t - span_t / 2.0, 0.0, np.pi)
-        t_hi = np.clip(best_t + span_t / 2.0, 0.0, np.pi)
-        p_lo = np.clip(best_p - span_p / 2.0, 0.0, 2.0 * np.pi)
-        p_hi = np.clip(best_p + span_p / 2.0, 0.0, 2.0 * np.pi)
+        # eight-fold, not five as for X states: the azimuth step is four times
+        # the polar one, and five-fold rounds stop ~4e-9 bits short at grid 64
+        span_t /= 8.0
+        span_p /= 8.0
+        t_lo = best_t[:, None] - span_t / 2.0
+        p_lo = best_p[:, None] - span_p / 2.0
 
-    return np.maximum(best_v, 0.0), best_t, best_p
+    phi = np.mod(best_p + np.where(best_t < 0.0, np.pi, 0.0), 2.0 * np.pi)
+    # mod of a tiny negative angle rounds up to 2 pi itself
+    return np.maximum(best_v, 0.0), np.abs(best_t), np.where(phi < 2.0 * np.pi, phi, 0.0)
 
 
 def classical_correlation_bruteforce(

@@ -35,9 +35,9 @@ _TOP_KEYS = {
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bounds of the integer fields: far above every value the tests,
-# demos and benchmark use, and below the sizes whose work arrays would
-# exhaust memory (the mesh optimiser holds chunk x grid^2 x 4 complex
-# entries, and a sweep keeps every grid time of every partition).
+# demos and benchmark use.  The optimiser's time grows as grid^2 axes per
+# general state (its memory is capped per slice of states), and a sweep
+# keeps every grid time of every partition.
 MAX_TIME_STEPS = 100_001
 MAX_GRID = 256
 MAX_REFINE_ITERS = 20

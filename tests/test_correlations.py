@@ -6,7 +6,7 @@ import pytest
 from spinboson.correlations import (
     _OFF_X,
     MeasurementAxis,
-    _cc_chunk,
+    _cc_mesh,
     classical_correlation_batch,
     classical_correlation_bruteforce,
     classical_correlation_spins_one_exc,
@@ -23,6 +23,7 @@ from spinboson.correlations import (
     reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
+from spinboson.linalg import random_pure_state
 from spinboson.model import (
     PARTITION_ORDER,
     Amplitudes,
@@ -414,6 +415,24 @@ def hemisphere_scan(rho, side, points=4000, rounds=5):
     return float(best)
 
 
+class TestGeneralStateOptimiser:
+    # states of this draw that a (theta, phi) box clipped to [0, 2 pi] missed
+    # by more than 1e-6 bits (132 by 1.97e-4): their best coarse axis sits on
+    # phi = 2 pi while the optimum lies just past phi = 0
+    WRAP_STATES = [1, 78, 94, 121, 132, 191]
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_matches_dense_scan(self, side):
+        rng = np.random.default_rng(1)
+        states = np.stack([random_pure_state(rng) for _ in range(300)])
+        rhos = reduced_batch(states, "s1r2")[self.WRAP_STATES]
+        assert not np.any(np.all(rhos[:, _OFF_X] == 0.0, axis=1))
+        values, _, _ = classical_correlation_batch(rhos, side, 64, 4)
+        for rho, value in zip(rhos, values):
+            scan = hemisphere_scan(rho, side)
+            assert scan - 1e-9 <= value <= scan + 1e-6
+
+
 class TestXStatePath:
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
     @pytest.mark.parametrize(
@@ -426,12 +445,13 @@ class TestXStatePath:
     )
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_matches_mesh_optimiser_on_model_states(self, family, spectral, fractions, side):
-        # the mesh optimiser at a finer setting stays the oracle for the X path
+        # the general-state mesh optimiser at a finer setting stays the oracle
+        # for the X path
         _, states = state_batch(Scenario(family, *LOPSIDED, spectral, fractions))
         rhos = np.concatenate([reduced_batch(states, p) for p in PARTITION_ORDER])
         assert np.all(rhos[:, _OFF_X] == 0.0)
         fast, _, _ = classical_correlation_batch(rhos, side)
-        mesh, _, _ = _cc_chunk(rhos, side, 128, 5)
+        mesh, _, _ = _cc_mesh(rhos, side, 128, 5)
         assert np.abs(fast - mesh).max() < 1e-9
 
     @pytest.mark.parametrize("side", ["first", "second"])
@@ -445,13 +465,16 @@ class TestXStatePath:
             assert value >= hemisphere_scan(rho, side) - 1e-9
             assert value <= bound + 1e-9
 
+    @pytest.mark.parametrize("states", [x_states_with_both_coherences, general_states])
     @pytest.mark.parametrize("side", ["first", "second"])
-    def test_returned_axis_attains_value(self, side):
+    def test_returned_axis_attains_value(self, side, states):
         # pins the azimuth convention: the axis is one that MeasurementAxis
         # turns into projectors reaching exactly the reported value
         rng = np.random.default_rng(8)
-        rhos = x_states_with_both_coherences(rng, 40)
+        rhos = states(rng, 40)
         values, thetas, phis = classical_correlation_batch(rhos, side)
+        assert np.all((thetas >= 0.0) & (thetas <= np.pi))
+        assert np.all((phis >= 0.0) & (phis < 2.0 * np.pi))
         for rho, value, theta, phi in zip(rhos, values, thetas, phis):
             plus, _ = MeasurementAxis(theta, phi).projectors()
             assert abs(measured_values(rho, side, plus) - value) < 1e-12
