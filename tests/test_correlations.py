@@ -328,6 +328,22 @@ class TestOptimizerConvergence:
         fine, _, _ = classical_correlation_batch(rhos, "second", 128, 5)
         assert np.abs(coarse - fine).max() < 1e-7
 
+    # states of this draw that a (theta, phi) box clipped to [0, 2 pi] missed
+    # by more than 1e-6 bits measuring the second qubit (132 by 1.97e-4): the
+    # box stopped on the edge phi = 0 or 2 pi, with the optimum just across it
+    WRAP_STATES = [1, 78, 94, 121, 132, 191]
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_general_states_match_dense_scan(self, side):
+        rng = np.random.default_rng(1)
+        states = np.stack([random_pure_state(rng) for _ in range(300)])
+        rhos = reduced_batch(states, "s1r2")[self.WRAP_STATES]
+        assert not np.any(np.all(rhos[:, _OFF_X] == 0.0, axis=1))
+        values, _, _ = classical_correlation_batch(rhos, side, 64, 4)
+        for rho, value in zip(rhos, values):
+            scan = hemisphere_scan(rho, side)
+            assert scan - 1e-9 <= value <= scan + 1e-6
+
     def test_nonnegative_and_bounded(self):
         rng = np.random.default_rng(77)
         rhos = random_x_states(rng, 64)
@@ -415,24 +431,6 @@ def hemisphere_scan(rho, side, points=4000, rounds=5):
     return float(best)
 
 
-class TestGeneralStateOptimiser:
-    # states of this draw that a (theta, phi) box clipped to [0, 2 pi] missed
-    # by more than 1e-6 bits (132 by 1.97e-4): their best coarse axis sits on
-    # phi = 2 pi while the optimum lies just past phi = 0
-    WRAP_STATES = [1, 78, 94, 121, 132, 191]
-
-    @pytest.mark.parametrize("side", ["first", "second"])
-    def test_matches_dense_scan(self, side):
-        rng = np.random.default_rng(1)
-        states = np.stack([random_pure_state(rng) for _ in range(300)])
-        rhos = reduced_batch(states, "s1r2")[self.WRAP_STATES]
-        assert not np.any(np.all(rhos[:, _OFF_X] == 0.0, axis=1))
-        values, _, _ = classical_correlation_batch(rhos, side, 64, 4)
-        for rho, value in zip(rhos, values):
-            scan = hemisphere_scan(rho, side)
-            assert scan - 1e-9 <= value <= scan + 1e-6
-
-
 class TestXStatePath:
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
     @pytest.mark.parametrize(
@@ -465,7 +463,7 @@ class TestXStatePath:
             assert value >= hemisphere_scan(rho, side) - 1e-9
             assert value <= bound + 1e-9
 
-    @pytest.mark.parametrize("states", [x_states_with_both_coherences, general_states])
+    @pytest.mark.parametrize("states", [x_states_with_both_coherences, general_states], ids=["x", "general"])
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_returned_axis_attains_value(self, side, states):
         # pins the azimuth convention: the axis is one that MeasurementAxis

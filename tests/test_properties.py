@@ -15,7 +15,7 @@ from spinboson.correlations import (
     mutual_information_batch,
 )
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.0, 2.0 * np.pi, allow_nan=False, allow_infinity=False)
