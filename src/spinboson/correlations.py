@@ -64,8 +64,8 @@ _P_FLOOR = 1e-14
 
 _DISCORD_CLAMP = -1e-8
 
-# Measurement axes per slice of states, bounding the (states, axes) work
-# arrays: 2^13 beat 2^14 and 2^15 on the benchmark panel (2 MiB L2 cache).
+# Measurement axes per slice of states, bounding the (states, axes) work arrays:
+# the mesh took 1.34, 1.50 and 1.73 s on the benchmark panel at 2^13, 2^14, 2^15.
 _SLICE_AXES = 2**13
 
 SIDES = ("first", "second")
@@ -234,17 +234,24 @@ def _cc_mesh(rhos, side, grid, refine_iters):
     the upper hemisphere.  (theta, phi) -> n is smooth and periodic, so the
     refinement boxes need no clipping; n(-theta, phi) = n(theta, phi + pi)
     normalises the returned axis.
+
+    Each mesh is an outer product of ``grid`` polar angles and ``grid``
+    azimuths, and so is every term: v.n = sin theta (v_x cos phi + v_y sin
+    phi) + v_z cos theta, and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n with
+    G = T^T T, clamped at 0 against round-off before the square root.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
     if side == "first":
         r = np.swapaxes(r, 1, 2)
-    # a of the kept qubit, b of the measured one
-    a, b, t = r[:, 1:, 0, None], r[:, 0, 1:], r[:, 1:, 1:]
-    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.linalg.norm(a, axis=1), 1.0)))
+    # a of the kept qubit, b of the measured one; trailing axes span the mesh
+    a, b, t = r[:, 1:, 0], r[:, 0, 1:, None, None], r[:, 1:, 1:]
+    a2 = np.einsum("ni,ni->n", a, a)[:, None, None]
+    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
+    g = np.einsum("nki,nkj->nij", t, t)[..., None, None]
+    at2 = 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
 
     frac = np.linspace(0.0, 1.0, grid)
-    mesh_t, mesh_p = (m.ravel() for m in np.meshgrid(frac, frac, indexing="ij"))
     span_t = 0.5 * np.pi
     span_p = 2.0 * np.pi * (grid - 1) / grid
     t_lo = np.zeros((n, 1))
@@ -254,27 +261,28 @@ def _cc_mesh(rhos, side, grid, refine_iters):
     best_p = np.zeros(n)
     rows = np.arange(n)
     for _ in range(refine_iters + 1):
-        th = t_lo + span_t * mesh_t
-        ph = p_lo + span_p * mesh_p
-        st = np.sin(th)
-        axis = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
-        bn = np.einsum("nj,njk->nk", b, axis)
-        tn = np.einsum("nij,njk->nik", t, axis)
-        val = s_est
-        for sign in (1.0, -1.0):
-            p = 0.5 * (1.0 + sign * bn)
-            length = np.linalg.norm(a + sign * tn, axis=1)
-            ok = p > _P_FLOOR
-            radius = np.minimum(np.where(ok, length / np.where(ok, 2.0 * p, 1.0), 0.0), 1.0)
-            val = val - np.where(ok, p, 0.0) * binary_entropy(0.5 * (1.0 + radius))
+        th = t_lo + span_t * frac
+        ph = p_lo + span_p * frac
+        st, ct = np.sin(th)[:, :, None], np.cos(th)[:, :, None]
+        cp, sp = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
+        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (b, at2))
+        # |a|^2 + n.G n, the part of |a +- T n|^2 even in the sign
+        even = a2 + g[:, 2, 2] * ct * ct + 2.0 * st * ct * (g[:, 0, 2] * cp + g[:, 1, 2] * sp) + st * st * (
+            g[:, 0, 0] * cp * cp + 2.0 * g[:, 0, 1] * cp * sp + g[:, 1, 1] * sp * sp)
+        val = 0.0
+        for q, len2 in ((1.0 + bn, even + an2), (1.0 - bn, even - an2)):
+            # q = 2 p+-; an empty branch (p <= _P_FLOOR) gets weight 0 and any radius
+            radius = np.minimum(np.sqrt(np.maximum(len2, 0.0)) / np.maximum(q, 2.0 * _P_FLOOR), 1.0)
+            val = val + np.where(q > 2.0 * _P_FLOOR, q, 0.0) * _entropy_half(radius)
+        val = (s_est - 0.5 * val).reshape(n, grid * grid)
 
         # ties keep the first maximum, in mesh order and then round order
         idx = np.argmax(val, axis=1)
         cand_v = val[rows, idx]
         better = cand_v > best_v
         best_v = np.where(better, cand_v, best_v)
-        best_t = np.where(better, th[rows, idx], best_t)
-        best_p = np.where(better, ph[rows, idx], best_p)
+        best_t = np.where(better, th[rows, idx // grid], best_t)
+        best_p = np.where(better, ph[rows, idx % grid], best_p)
 
         # eight-fold, not five as for X states: the azimuth step is four times
         # the polar one, and five-fold rounds stop ~4e-9 bits short at grid 64
@@ -286,6 +294,13 @@ def _cc_mesh(rhos, side, grid, refine_iters):
     phi = np.mod(best_p + np.where(best_t < 0.0, np.pi, 0.0), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself
     return np.maximum(best_v, 0.0), np.abs(best_t), np.where(phi < 2.0 * np.pi, phi, 0.0)
+
+
+def _entropy_half(r):
+    """H((1 + r) / 2) in bits for r in [0, 1], unchecked."""
+    x = 0.5 * (1.0 + r)
+    y = 1.0 - x  # exact for x >= 1/2; at y = 0 the term is 0 times a finite log
+    return -x * np.log2(x) - y * np.log2(np.maximum(y, np.finfo(float).tiny))
 
 
 def classical_correlation_bruteforce(
