@@ -64,9 +64,15 @@ _P_FLOOR = 1e-14
 
 _DISCORD_CLAMP = -1e-8
 
-# Measurement axes per slice of states, bounding the (states, axes) work arrays:
-# the mesh took 1.34, 1.50 and 1.73 s on the benchmark panel at 2^13, 2^14, 2^15.
+# Measurement axes per slice of states, bounding the (states, axes) work arrays.
+# On the benchmark panel the first mesh took 0.27, 0.36 and 0.41 s and the
+# refinement 0.089, 0.100 and 0.083 s at 2^13, 2^14 and 2^15.
 _SLICE_AXES = 2**13
+
+# Points per side of each refinement box of the general-state optimiser: on
+# panel seeds 0-10 at grid 64, 4 rounds, 9 falls at most 4.3e-10 bits short
+# of the benchmark's reference, 13 at most 1.8e-10 for 1.35x the time.
+_BOX = 9
 
 SIDES = ("first", "second")
 
@@ -129,11 +135,13 @@ def classical_correlation_batch(
     ``refine_iters`` times, the search interval shrinking five-fold around
     the best theta each round.  Every other state scans a ``grid`` x
     ``grid`` mesh over the upper hemisphere, theta in [0, pi/2] and phi in
-    [0, 2 pi), and refines a box around the best axis ``refine_iters``
-    times, shrinking it eight-fold each round; the box is not clipped, so
-    it may cross the pole or phi = 2 pi.  The search is deterministic and
-    each state's result is independent of its batch.  States are processed
-    in slices of at most ``_SLICE_AXES`` measurement axes per scan.
+    [0, 2 pi), and refines around the best axis ``refine_iters`` times,
+    each round shrinking the box eight-fold in three halving steps of 9 x 9
+    axes, grid^2 + 243 ``refine_iters`` axes in all; the box is not
+    clipped, so it may cross the pole or phi = 2 pi.  The search is
+    deterministic, a larger ``refine_iters`` never lowers a value, and each
+    state's result is independent of its batch.  States are processed in
+    slices of at most ``_SLICE_AXES`` measurement axes per scan.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -150,7 +158,7 @@ def classical_correlation_batch(
     is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
     for rows, solve, axes in (
         (np.flatnonzero(is_x), _cc_x, grid),
-        (np.flatnonzero(~is_x), _cc_mesh, grid * grid),
+        (np.flatnonzero(~is_x), _cc_mesh, _BOX * _BOX),
     ):
         size = max(1, _SLICE_AXES // axes)
         for lo in range(0, len(rows), size):
@@ -190,7 +198,7 @@ def _cc_x(rhos, side, grid, refine_iters):
     half_diff = 0.5 * (g[:, 0, 0] - g[:, 1, 1])
     sigma2 = 0.5 * (g[:, 0, 0] + g[:, 1, 1]) + np.hypot(half_diff, g[:, 0, 1])
     phi = np.mod(0.5 * np.arctan2(g[:, 0, 1], half_diff), np.pi)
-    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.abs(a3), 1.0)))
+    s_est = _entropy_half(np.minimum(np.abs(a3), 1.0))
 
     a3, b3, t33, sigma2 = (x[:, None] for x in (a3, b3, t33, sigma2))
     frac = np.linspace(0.0, 1.0, grid)[None, :]
@@ -209,7 +217,7 @@ def _cc_x(rhos, side, grid, refine_iters):
             length = np.sqrt((a3 + sign * t33 * ct) ** 2 + sigma2 * st2)
             ok = p > _P_FLOOR
             radius = np.minimum(np.where(ok, length / np.where(ok, 2.0 * p, 1.0), 0.0), 1.0)
-            val = val - np.where(ok, p, 0.0) * binary_entropy(0.5 * (1.0 + radius))
+            val = val - np.where(ok, p, 0.0) * _entropy_half(radius)
 
         # theta rises along each row: the last maximum has the largest theta
         idx = grid - 1 - np.argmax(val[:, ::-1], axis=1)
@@ -230,66 +238,72 @@ def _cc_mesh(rhos, side, grid, refine_iters):
 
     The objective of :func:`_cc_x`, S(A) - sum_+- p+- H((1 + |a +- T n| /
     (2 p+-)) / 2), over both angles of n (Girolami & Adesso, PRA 83, 052108
-    (2011)).  n and -n are the same measurement, so the first mesh covers
-    the upper hemisphere.  (theta, phi) -> n is smooth and periodic, so the
-    refinement boxes need no clipping; n(-theta, phi) = n(theta, phi + pi)
-    normalises the returned axis.
+    (2011)).  n and -n are the same measurement, so the first mesh, ``grid``
+    x ``grid`` axes, covers the upper hemisphere.  Each of the
+    ``refine_iters`` rounds then shrinks the box eight-fold in three
+    halving steps, each scanning ``_BOX`` x ``_BOX`` axes centred on the
+    best axis so far; the first box spans 1/8 of the mesh.  (theta, phi) ->
+    n is smooth and periodic, so the boxes need no clipping; n(-theta, phi)
+    = n(theta, phi + pi) normalises the returned axis.
 
-    Each mesh is an outer product of ``grid`` polar angles and ``grid``
-    azimuths, and so is every term: v.n = sin theta (v_x cos phi + v_y sin
-    phi) + v_z cos theta, and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n with
-    G = T^T T, clamped at 0 against round-off before the square root.
+    Each scan is an outer product of polar angles and azimuths, and so is
+    every term: v.n = sin theta (v_x cos phi + v_y sin phi) + v_z cos theta,
+    and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n with G = T^T T, clamped
+    at 0 against round-off before the square root.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
     if side == "first":
         r = np.swapaxes(r, 1, 2)
-    # a of the kept qubit, b of the measured one; trailing axes span the mesh
+    # a of the kept qubit, b of the measured one; trailing axes span the scan
     a, b, t = r[:, 1:, 0], r[:, 0, 1:, None, None], r[:, 1:, 1:]
     a2 = np.einsum("ni,ni->n", a, a)[:, None, None]
     s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
     g = np.einsum("nki,nkj->nij", t, t)[..., None, None]
     at2 = 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
+    best_v, best_t, best_p = np.full(n, -np.inf), np.zeros(n), np.zeros(n)
 
-    frac = np.linspace(0.0, 1.0, grid)
-    span_t = 0.5 * np.pi
-    span_p = 2.0 * np.pi * (grid - 1) / grid
-    t_lo = np.zeros((n, 1))
-    p_lo = np.zeros((n, 1))
-    best_v = np.full(n, -np.inf)
-    best_t = np.zeros(n)
-    best_p = np.zeros(n)
-    rows = np.arange(n)
-    for _ in range(refine_iters + 1):
-        th = t_lo + span_t * frac
-        ph = p_lo + span_p * frac
+    def scan(sel, th, ph):
+        """Score the outer product of th and ph, (k, m) each, for states sel."""
+        m = th.shape[1]
         st, ct = np.sin(th)[:, :, None], np.cos(th)[:, :, None]
         cp, sp = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
-        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (b, at2))
+        gs = g[sel]
+        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (b[sel], at2[sel]))
         # |a|^2 + n.G n, the part of |a +- T n|^2 even in the sign
-        even = a2 + g[:, 2, 2] * ct * ct + 2.0 * st * ct * (g[:, 0, 2] * cp + g[:, 1, 2] * sp) + st * st * (
-            g[:, 0, 0] * cp * cp + 2.0 * g[:, 0, 1] * cp * sp + g[:, 1, 1] * sp * sp)
+        even = a2[sel] + gs[:, 2, 2] * ct * ct + 2.0 * st * ct * (gs[:, 0, 2] * cp + gs[:, 1, 2] * sp) + (
+            st * st * (gs[:, 0, 0] * cp * cp + 2.0 * gs[:, 0, 1] * cp * sp + gs[:, 1, 1] * sp * sp))
         val = 0.0
         for q, len2 in ((1.0 + bn, even + an2), (1.0 - bn, even - an2)):
             # q = 2 p+-; an empty branch (p <= _P_FLOOR) gets weight 0 and any radius
             radius = np.minimum(np.sqrt(np.maximum(len2, 0.0)) / np.maximum(q, 2.0 * _P_FLOOR), 1.0)
             val = val + np.where(q > 2.0 * _P_FLOOR, q, 0.0) * _entropy_half(radius)
-        val = (s_est - 0.5 * val).reshape(n, grid * grid)
+        val = (s_est[sel] - 0.5 * val).reshape(-1, m * m)
 
-        # ties keep the first maximum, in mesh order and then round order
+        # ties keep the first maximum, in scan order and then round order
         idx = np.argmax(val, axis=1)
+        rows = np.arange(len(idx))
         cand_v = val[rows, idx]
-        better = cand_v > best_v
-        best_v = np.where(better, cand_v, best_v)
-        best_t = np.where(better, th[rows, idx // grid], best_t)
-        best_p = np.where(better, ph[rows, idx % grid], best_p)
+        better = cand_v > best_v[sel]
+        best_v[sel] = np.where(better, cand_v, best_v[sel])
+        best_t[sel] = np.where(better, th[rows, idx // m], best_t[sel])
+        best_p[sel] = np.where(better, ph[rows, idx % m], best_p[sel])
 
-        # eight-fold, not five as for X states: the azimuth step is four times
-        # the polar one, and five-fold rounds stop ~4e-9 bits short at grid 64
-        span_t /= 8.0
-        span_p /= 8.0
-        t_lo = best_t[:, None] - span_t / 2.0
-        p_lo = best_p[:, None] - span_p / 2.0
+    frac = np.linspace(0.0, 1.0, grid)
+    span_t = 0.5 * np.pi
+    span_p = 2.0 * np.pi * (grid - 1) / grid
+    size = max(1, _SLICE_AXES // (grid * grid))
+    for lo in range(0, n, size):
+        k = min(size, n - lo)
+        scan(slice(lo, lo + k), np.tile(span_t * frac, (k, 1)), np.tile(span_p * frac, (k, 1)))
+
+    # a box of width w has steps of w / (_BOX - 1), so the next, of width w / 2
+    # around the best point, reaches (_BOX - 1) / 4 steps past it either way
+    frac = np.linspace(0.0, 1.0, _BOX)
+    for step in range(3, 3 * refine_iters + 3):
+        box_t, box_p = span_t / 2**step, span_p / 2**step
+        scan(slice(None), best_t[:, None] - box_t / 2.0 + box_t * frac,
+             best_p[:, None] - box_p / 2.0 + box_p * frac)
 
     phi = np.mod(best_p + np.where(best_t < 0.0, np.pi, 0.0), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself

@@ -32,7 +32,7 @@ from .correlations import (
     reservoir_correlations_two_exc,
 )
 from .linalg import binary_entropy
-from .model import PARTITION_ORDER, PARTITIONS, Scenario, reduced_batch, state_batch
+from .model import PARTITION_ORDER, PARTITIONS, Scenario, amplitude_batch, reduced_batch, state_batch
 
 PIPELINES = ("closed_form", "brute_force", "both")
 
@@ -136,7 +136,8 @@ def run_sweep(
             )
 
     times = scenario.time_grid
-    amps, states = state_batch(scenario)
+    # the closed forms read only the amplitudes
+    amps, states = (amplitude_batch(scenario), None) if pipeline == "closed_form" else state_batch(scenario)
 
     def eval_range(lo: int, hi: int) -> dict:
         out = {}

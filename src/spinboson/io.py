@@ -35,9 +35,9 @@ _TOP_KEYS = {
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bounds of the integer fields: far above every value the tests,
-# demos and benchmark use.  The optimiser's time grows as grid^2 axes per
-# general state (its memory is capped per slice of states), and a sweep
-# keeps every grid time of every partition.
+# demos and benchmark use.  The optimiser scores grid^2 + 3 * 81 *
+# refine_iters axes per general state (its memory is capped per slice of
+# states), and a sweep keeps every grid time of every partition.
 MAX_TIME_STEPS = 100_001
 MAX_GRID = 256
 MAX_REFINE_ITERS = 20
@@ -99,15 +99,20 @@ class RunConfig:
             ("refine_iters", 0, MAX_REFINE_ITERS),
         ):
             object.__setattr__(self, field, _count(getattr(self, field), field, lo, hi))
+        # steps far below the spacing of floats at time_end round to zero
+        if np.any(np.diff(self._time_grid()) <= 0.0):
+            raise ValueError("config: time_start, time_end and time_steps give a time grid that does not increase")
+
+    def _time_grid(self) -> np.ndarray:
+        return np.linspace(self.time_start, self.time_end, self.time_steps) * self.spectral.rate
 
     def scenario(self) -> Scenario:
-        raw = np.linspace(self.time_start, self.time_end, self.time_steps)
         return Scenario(
             family=self.family,
             alpha=self.alpha,
             beta=self.beta,
             spectral=self.spectral,
-            time_grid=raw * self.spectral.rate,
+            time_grid=self._time_grid(),
         )
 
 

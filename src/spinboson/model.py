@@ -213,13 +213,18 @@ def reduced_batch(states: np.ndarray, partition: str) -> np.ndarray:
     return np.einsum("nij,nkj->nik", m, m.conj())
 
 
+def amplitude_batch(scenario: Scenario) -> np.ndarray:
+    """The (xi, chi) pairs over a scenario's whole grid, shape (T, 2)."""
+    return np.array([scenario.spectral.amplitudes(t) for t in scenario.time_grid])
+
+
 def state_batch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Evolve a scenario over its whole grid.
 
-    Returns the (T,) array of (xi, chi) pairs stacked as shape (T, 2) and
-    the (T, 16) stack of pure states.
+    Returns the (T, 2) amplitude pairs of :func:`amplitude_batch` and the
+    (T, 16) stack of pure states.
     """
-    amps = np.array([scenario.spectral.amplitudes(t) for t in scenario.time_grid])
+    amps = amplitude_batch(scenario)
     states = np.stack(
         [pure_state(scenario.family, scenario.alpha, scenario.beta, Amplitudes(*a)) for a in amps]
     )

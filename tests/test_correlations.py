@@ -374,6 +374,16 @@ class TestOptimizerConvergence:
         assert np.all(np.isfinite(values))
         assert np.abs(values - np.array(known)).max() < 1e-12
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_general_states_never_lose_with_more_refinement(self, side):
+        # the rounds for r refine_iters are a prefix of those for r + 1, and
+        # a candidate replaces the best axis only when it is strictly better
+        rhos = general_states(np.random.default_rng(41), 60)
+        values = [classical_correlation_batch(rhos, side, 64, r)[0] for r in range(6)]
+        for r in range(5):
+            fell = np.flatnonzero(values[r + 1] < values[r])
+            assert fell.size == 0, f"refine_iters {r + 1} below {r}: states {fell}"
+
     def test_nonnegative_and_bounded(self):
         rng = np.random.default_rng(77)
         rhos = random_x_states(rng, 64)
@@ -542,7 +552,7 @@ class TestXStatePath:
 
 
 class TestBatchComposition:
-    """A state's mutual information and concurrence do not depend on its batch."""
+    """A state's C, mutual information and concurrence do not depend on its batch."""
 
     @staticmethod
     def model_states():
@@ -566,6 +576,22 @@ class TestBatchComposition:
         assert batch.shape == (len(rhos),)
         assert np.array_equal(measure(rhos[::-1])[::-1], batch)
         assert np.array_equal(np.concatenate([measure(rho[None]) for rho in rhos]), batch)
+
+    def test_classical_correlation_across_refinement_slices(self):
+        # 260 general states, more than two refinement slices of the mesh
+        # path, interleaved with 130 X states
+        rng = np.random.default_rng(32)
+        general = general_states(rng, 260)
+        x = x_states_with_both_coherences(rng, 130)
+        rhos = np.empty((390, 4, 4), dtype=complex)
+        rhos[0::3], rhos[1::3], rhos[2::3] = general[0::2], x, general[1::2]
+        assert np.count_nonzero(~np.all(rhos[:, _OFF_X] == 0.0, axis=1)) == 260
+        batch = classical_correlation_batch(rhos)
+        reverse = classical_correlation_batch(rhos[::-1])
+        alone = [classical_correlation_batch(rho[None]) for rho in rhos]
+        for k in range(3):
+            assert np.array_equal(reverse[k][::-1], batch[k])
+            assert np.array_equal(np.concatenate([a[k] for a in alone]), batch[k])
 
 
 def bits(x):

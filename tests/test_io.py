@@ -234,6 +234,16 @@ class TestConfigHardening:
         assert f"error: config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_collapsed_time_grid_names_its_fields(self, tmp_path, capsys):
+        # 101 steps between two floats 4 apart (two ulps) round to repeated times;
+        # the model's own check used to report it without naming a field
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bell_doc(time_start=1e16, time_end=1.0000000000000004e16, time_steps=101)))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config: time_start, time_end and time_steps give a time grid that does not increase" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize(
         "flags,field", [(["--grid", str(MAX_GRID + 1)], "grid"), (["--grid", "1"], "grid"),
                         (["--refine", "-1"], "refine_iters"), (["--refine", "99"], "refine_iters")],
