@@ -23,7 +23,7 @@ ratio = math.sqrt(200.0)
 omega = math.sqrt(4.0 * ratio**2 - 1.0)
 
 taus = np.linspace(0.0, 1.0, 4001)
-xi = np.array([amplitudes_lorentz(t, ratio).xi for t in taus])
+xi = amplitudes_lorentz(taus, ratio).xi
 
 print(f"coupling ratio W/lambda = sqrt(200), ringing frequency sqrt(799) = {omega:.4f}")
 print(f"amplitude sign changes on lambda*t in [0, 1]: {count_sign_changes(xi)}")
@@ -38,11 +38,8 @@ print()
 # the spin-pair correlation touches zero with the amplitude and revives
 # in between: count the revival peaks over two units of lambda*t
 taus2 = np.linspace(0.0, 2.0, 4001)
-series = []
-for t in taus2:
-    x, c = amplitudes_lorentz(t, ratio)
-    series.append(classical_correlation_spins_two_exc(0.5, x * x, min(c * c, 1.0)))
-series = np.array(series)
+x, c = amplitudes_lorentz(taus2, ratio)
+series = classical_correlation_spins_two_exc(0.5, x * x, np.minimum(c * c, 1.0))
 
 print(f"spin-pair C = Q revival peaks on lambda*t in [0, 2]: {count_local_maxima(series)}")
 print()

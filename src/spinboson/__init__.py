@@ -6,14 +6,7 @@ both from closed forms and from a brute-force measurement optimiser, with
 audits for the correlation-transfer and no-increase statements.
 """
 
-from .linalg import (
-    binary_entropy,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    partial_trace,
-    tensor,
-    von_neumann_entropy,
-)
+from .linalg import binary_entropy, von_neumann_entropy
 from .model import (
     PARTITION_ORDER,
     PARTITIONS,
@@ -22,7 +15,6 @@ from .model import (
     SpectralDensity,
     amplitudes_flat,
     amplitudes_lorentz,
-    build_state,
     pure_state,
     reduced,
 )

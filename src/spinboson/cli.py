@@ -28,33 +28,29 @@ from .experiments import (
 )
 from .io import PIPELINE_NAMES, RunConfig, emit_csv, emit_figures, emit_svg_plot, parse_config
 
-_PIPELINE_FLAGS = ("closed", "brute", "both")
+# flag -> (config field it overrides, argparse keywords)
+_FLAGS = {
+    "--out": ("out_dir", dict(metavar="DIR", help="output directory (overrides config)")),
+    "--grid": ("grid", dict(type=int, metavar="N", help="optimiser mesh size (overrides config)")),
+    "--refine": ("refine_iters", dict(type=int, metavar="N", help="refinement rounds (overrides config)")),
+    "--side": ("side", dict(choices=("first", "second"), help="measured side (overrides config)")),
+    "--pipeline": ("pipeline", dict(choices=tuple(PIPELINE_NAMES), help="pipeline (overrides config)")),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    parser.add_argument("--grid", type=int, metavar="N", help="optimiser mesh size (overrides config)")
-    parser.add_argument("--refine", type=int, metavar="N", help="refinement rounds (overrides config)")
-    parser.add_argument("--side", choices=("first", "second"), help="measured side (overrides config)")
-    parser.add_argument("--pipeline", choices=_PIPELINE_FLAGS, help="pipeline (overrides config)")
+def _overrides(args) -> dict:
+    """Config fields set by the flags given, keyed by field name."""
+    return {
+        field: getattr(args, flag[2:])
+        for flag, (field, _) in _FLAGS.items()
+        if getattr(args, flag[2:], None) is not None
+    }
 
 
 def _load_config(path: str, args) -> RunConfig:
-    text = Path(path).read_text()
-    cfg = parse_config(text)
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.grid is not None:
-        updates["grid"] = args.grid
-    if args.refine is not None:
-        updates["refine_iters"] = args.refine
-    if args.side is not None:
-        updates["side"] = args.side
-    if getattr(args, "pipeline", None) is not None:
-        updates["pipeline"] = args.pipeline
+    cfg = parse_config(Path(path).read_text())
     # replace() validates the overrides as parse_config validates the file
-    return replace(cfg, **updates)
+    return replace(cfg, **_overrides(args))
 
 
 def _run_from_config(cfg: RunConfig, pipeline: str | None = None):
@@ -122,13 +118,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    out_dir = Path(args.out or ".")
-    overrides = {}
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.refine is not None:
-        overrides["refine_iters"] = args.refine
-    for path in emit_figures(out_dir, **overrides):
+    overrides = _overrides(args)
+    for path in emit_figures(Path(overrides.pop("out_dir", ".")), **overrides):
         print(path)
     return 0
 
@@ -140,24 +131,21 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a sweep and write CSV (+ optional SVG)")
-    p_sweep.add_argument("config")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_audit = sub.add_parser("audit", help="run all enabled audits")
-    p_audit.add_argument("config")
-    _add_common(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
-
-    p_fig = sub.add_parser("figures", help="emit the built-in reference-figure datasets")
-    _add_common(p_fig)
-    p_fig.set_defaults(func=_cmd_figures)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force-only sweep for cross-checks")
-    p_oracle.add_argument("config")
-    _add_common(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
+    # each subcommand takes only the flags it reads: audit writes no files,
+    # figures runs fixed scenarios, and audit and oracle fix their pipelines
+    commands = (
+        ("sweep", _cmd_sweep, "run a sweep and write CSV (+ optional SVG)", tuple(_FLAGS)),
+        ("audit", _cmd_audit, "run all enabled audits", ("--grid", "--refine", "--side")),
+        ("figures", _cmd_figures, "emit the built-in reference-figure datasets", ("--out", "--grid", "--refine")),
+        ("oracle", _cmd_oracle, "brute-force-only sweep for cross-checks", ("--out", "--grid", "--refine", "--side")),
+    )
+    for name, func, help_text, flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        if name != "figures":
+            p.add_argument("config")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

@@ -43,6 +43,7 @@ from .linalg import (
     binary_entropy,
     entropy2_batch,
     entropy_from_eigenvalues,
+    require_state,
 )
 
 # sigma_y x sigma_y, the spin flip of Wootters' concurrence
@@ -91,21 +92,6 @@ class MeasurementAxis(NamedTuple):
         return plus, _PAULI[0] - plus
 
 
-def _require_state(rho: np.ndarray, who: str) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"{who}: expected a 4x4 two-qubit state, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise ValueError(f"{who}: state is not Hermitian")
-    tr = rho.trace()
-    if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
-        raise ValueError(f"{who}: state trace is not 1")
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < -1e-8:
-        raise ValueError(f"{who}: state has eigenvalue {low:.3e} < -1e-8")
-    return rho
-
-
 def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
     """I = S(A) + S(B) - S(AB) for a stack of two-qubit states, in bits."""
     r4 = rhos.reshape(-1, 2, 2, 2, 2)
@@ -116,7 +102,7 @@ def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: np.ndarray) -> float:
     """Quantum mutual information of a two-qubit state, in bits."""
-    rho = _require_state(rho, "mutual_information")
+    rho, _ = require_state(rho, "mutual_information", 4)
     return float(mutual_information_batch(rho[None])[0])
 
 
@@ -330,7 +316,7 @@ def classical_correlation_bruteforce(
     value is meaningful for comparisons; the axis is one deterministic
     representative of the optimal family.
     """
-    rho = _require_state(rho, "classical_correlation")
+    rho, _ = require_state(rho, "classical_correlation", 4)
     v, t, p = classical_correlation_batch(rho[None], side, grid, refine_iters)
     return float(v[0]), MeasurementAxis(float(t[0]), float(p[0]))
 
@@ -346,7 +332,7 @@ def discord(
     Optimiser slack can leave values a hair below zero; anything in
     [-1e-8, 0) is reported as 0.
     """
-    rho = _require_state(rho, "discord")
+    rho, _ = require_state(rho, "discord", 4)
     c, _ = classical_correlation_bruteforce(rho, side, grid, refine_iters)
     q = float(mutual_information_batch(rho[None])[0]) - c
     if q < 0.0:
@@ -485,7 +471,7 @@ def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
 
 def concurrence_wootters(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit state; 0 for separable, 1 for Bell."""
-    rho = _require_state(rho, "concurrence_wootters")
+    rho, _ = require_state(rho, "concurrence_wootters", 4)
     return float(concurrence_batch(rho[None])[0])
 
 

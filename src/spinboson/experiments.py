@@ -6,8 +6,9 @@ four-party state, on every point of a scenario's time grid.  Two pipelines
 exist: ``closed_form`` (spin pair and reservoir pair only, one array-valued
 closed-form call per partition) and ``brute_force`` (any partition, via
 the measurement optimiser on the stack of reduced states); ``both`` runs
-the two side by side and audits how well they agree.  A sweep's result is
-one array over the time grid per (partition, pipeline, measure).
+the two side by side and, when the sweep covers a closed-form partition,
+audits how well they agree.  A sweep's result is one array over the time
+grid per (partition, pipeline, measure).
 
 Audits never return bare booleans: each outcome carries the pass flag, a
 worst-case margin and enough numbers to diagnose a regression.
@@ -167,7 +168,7 @@ def run_sweep(
         for k, measure in enumerate(SERIES_MEASURES)
     }
     result = SweepResult(scenario, values, side)
-    if pipeline == "both":
+    if pipeline == "both" and set(partitions) & set(CLOSED_FORM_PARTITIONS):
         result.audits.append(_agreement_audit(result))
     return result
 

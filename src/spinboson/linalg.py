@@ -4,8 +4,8 @@ Every Hilbert space in this package has dimension 2, 4, 8 or 16 (two spins
 plus two collective reservoir modes).  Spectra come from numpy's LAPACK
 eigensolver (``np.linalg.eigh``/``eigvalsh``), which diagonalises each
 matrix of a stack on its own, so a state's eigenvalues do not depend on
-what else shares its batch.  The single-matrix wrappers here validate
-their input and return eigenvalues in descending order.
+what else shares its batch.  :func:`require_state` is the one check of a
+single density matrix that the public single-state functions share.
 
 All entropies are in bits (log base 2).
 """
@@ -25,84 +25,28 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square operators.
+def require_state(rho: np.ndarray, who: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A density matrix as a complex array, and its ascending spectrum.
 
-    The result dimension is capped at 16, the largest space used anywhere
-    in this package.  Hermiticity of the factors carries over to the
-    product exactly, so no re-symmetrisation is performed.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("tensor: first factor is not a square matrix")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("tensor: second factor is not a square matrix")
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor: result dimension {dim} exceeds supported maximum {MAX_DIM}")
-    return np.kron(a, b)
-
-
-def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
-    """Reduced density matrix over the subsystems listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : (D, D) density matrix, Hermitian with unit trace.
-    keep : indices of the subsystems to retain, in any order; the output
-        keeps them in their original relative order.
-    dims : dimension of each subsystem; the product must equal D.
+    Rejects anything but a square matrix of dimension at most 16 (exactly
+    ``dim`` when given) that is Hermitian and of unit trace within 1e-10,
+    with no eigenvalue below -1e-8; smaller negative eigenvalues are
+    treated as partial-trace round-off.
     """
     rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("partial_trace: subsystem dimensions must be positive")
-    total = int(np.prod(dims))
-    if rho.ndim != 2 or rho.shape != (total, total):
-        raise ValueError(
-            f"partial_trace: dims {dims} imply dimension {total}, got matrix of shape {rho.shape}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"partial_trace: keep indices {keep} invalid for {len(dims)} subsystems")
+    n = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (n, n) or not 0 < n <= MAX_DIM or dim not in (None, n):
+        want = f"{dim}x{dim}" if dim else f"square, at most {MAX_DIM}x{MAX_DIM},"
+        raise ValueError(f"{who}: expected a {want} density matrix, got shape {rho.shape}")
     if np.abs(rho - rho.conj().T).max() > _HERM_TOL:
-        raise ValueError("partial_trace: input is not Hermitian")
-    if abs(rho.trace().real - 1.0) > _TRACE_TOL or abs(rho.trace().imag) > _TRACE_TOL:
-        raise ValueError("partial_trace: input does not have unit trace")
-
-    n = len(dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [row[i] if i not in keep else chr(ord("a") + n + i) for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    sub = "".join(row) + "".join(col) + "->" + out
-    reduced = np.einsum(sub, rho.reshape(dims + dims))
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(d_keep, d_keep)
-
-
-def _check_hermitian(m: np.ndarray, who: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"{who}: dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if np.abs(m - m.conj().T).max() > _HERM_TOL:
         raise ValueError(f"{who}: matrix is not Hermitian within {_HERM_TOL}")
-    return m
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    m = _check_hermitian(m, "hermitian_eigenvalues")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
-def hermitian_eigensystem(m: np.ndarray):
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    m = _check_hermitian(m, "hermitian_eigensystem")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
+    tr = rho.trace()
+    if abs(tr.real - 1.0) > _TRACE_TOL or abs(tr.imag) > _TRACE_TOL:
+        raise ValueError(f"{who}: trace must be 1")
+    vals = np.linalg.eigvalsh(rho)
+    if vals[0] < _EIG_REJECT:
+        raise ValueError(f"{who}: eigenvalue {vals[0]:.3e} below {_EIG_REJECT}; not a state")
+    return rho, vals
 
 
 def binary_entropy(x):
@@ -135,20 +79,10 @@ def entropy_from_eigenvalues(vals: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy of a density matrix, in bits.
 
-    Rejects inputs that are not Hermitian unit-trace matrices or whose
-    spectrum dips below -1e-8; smaller negative eigenvalues are treated
-    as partial-trace round-off and clamped to zero.
+    The input is checked as by :func:`require_state`; eigenvalues in
+    [-1e-8, 0) count as zero.
     """
-    rho = _check_hermitian(rho, "von_neumann_entropy")
-    tr = rho.trace()
-    if abs(tr.real - 1.0) > _TRACE_TOL or abs(tr.imag) > _TRACE_TOL:
-        raise ValueError("von_neumann_entropy: trace must be 1")
-    vals = hermitian_eigenvalues(rho)
-    if vals.min() < _EIG_REJECT:
-        raise ValueError(
-            f"von_neumann_entropy: eigenvalue {vals.min():.3e} below {_EIG_REJECT}; not a state"
-        )
-    return float(entropy_from_eigenvalues(vals))
+    return float(entropy_from_eigenvalues(require_state(rho, "von_neumann_entropy")[1]))
 
 
 def entropy2_batch(mats: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ amplitude ``xi(t)`` of an excitation on its spin and the leakage amplitude
 spectral density gives plain exponential decay; a Lorentzian at strong
 coupling makes ``xi`` oscillate through zero, which is where all the
 non-Markovian structure comes from.  Time is handled dimensionlessly
-(gamma*t for flat, lambda*t for Lorentzian).
+(gamma*t for flat, lambda*t for Lorentzian).  The amplitudes and the pure
+states take a whole time grid as one array.
 """
 
 from __future__ import annotations
@@ -46,53 +47,57 @@ class Amplitudes(NamedTuple):
 
     ``xi`` keeps its sign: in the underdamped Lorentzian regime it passes
     through zero, and the sign feeds coherences of the reduced states.
-    ``chi`` is non-negative by convention.
+    ``chi`` is non-negative by convention.  Both are numpy scalars for a
+    scalar time and arrays of its shape for an array of times.
     """
 
-    xi: float
-    chi: float
+    xi: np.ndarray
+    chi: np.ndarray
 
 
-def amplitudes_flat(gamma_t: float) -> Amplitudes:
+def amplitudes_flat(gamma_t) -> Amplitudes:
     """Amplitudes for a flat spectral density: exponential decay.
 
-    xi = exp(-gamma*t/2), chi = sqrt(1 - exp(-gamma*t)).
+    xi = exp(-gamma*t/2), chi = sqrt(1 - exp(-gamma*t)), for a scalar or
+    an array of times gamma*t >= 0.
     """
-    if gamma_t < 0.0:
+    tau = np.asarray(gamma_t, dtype=float)
+    if not np.all(tau >= 0.0):  # also rejects NaN
         raise ValueError("amplitudes_flat: negative time")
-    xi = math.exp(-gamma_t / 2.0)
-    chi = math.sqrt(-math.expm1(-gamma_t))
-    return Amplitudes(xi, chi)
+    return Amplitudes(np.exp(-tau / 2.0), np.sqrt(-np.expm1(-tau)))
 
 
-def amplitudes_lorentz(lambda_t: float, coupling_ratio: float) -> Amplitudes:
+def amplitudes_lorentz(lambda_t, coupling_ratio: float) -> Amplitudes:
     """Amplitudes for a resonant Lorentzian spectral density.
 
     Parameters
     ----------
-    lambda_t : dimensionless time lambda*t, >= 0.
+    lambda_t : dimensionless time lambda*t >= 0, a scalar or an array.
     coupling_ratio : W / lambda.  Below 1/2 the decay is overdamped,
         above it the amplitude oscillates (underdamped); the critical
         point is handled by its analytic limit.
     """
-    if lambda_t < 0.0:
+    tau = np.asarray(lambda_t, dtype=float)
+    if not np.all(tau >= 0.0):  # also rejects NaN
         raise ValueError("amplitudes_lorentz: negative time")
-    if coupling_ratio <= 0.0:
+    if not coupling_ratio > 0.0:  # also rejects NaN
         raise ValueError("amplitudes_lorentz: coupling ratio must be positive")
-    tau = float(lambda_t)
     d2 = 1.0 - 4.0 * coupling_ratio * coupling_ratio
     if d2 > _CRITICAL_EPS:
         d = math.sqrt(d2)
         # exp-combined form stays finite for large tau
-        xi = 0.5 * ((1.0 + 1.0 / d) * math.exp(-(1.0 - d) * tau / 2.0)
-                    + (1.0 - 1.0 / d) * math.exp(-(1.0 + d) * tau / 2.0))
+        xi = 0.5 * ((1.0 + 1.0 / d) * np.exp(-(1.0 - d) * tau / 2.0)
+                    + (1.0 - 1.0 / d) * np.exp(-(1.0 + d) * tau / 2.0))
     elif d2 < -_CRITICAL_EPS:
         om = math.sqrt(-d2)
-        xi = math.exp(-tau / 2.0) * (math.sin(om * tau / 2.0) / om + math.cos(om * tau / 2.0))
+        with np.errstate(over="ignore"):
+            phase = om * tau / 2.0
+        if not np.all(np.isfinite(phase)):
+            raise ValueError("amplitudes_lorentz: oscillation phase is not finite")
+        xi = np.exp(-tau / 2.0) * (np.sin(phase) / om + np.cos(phase))
     else:
-        xi = math.exp(-tau / 2.0) * (1.0 + tau / 2.0)
-    chi = math.sqrt(max(0.0, 1.0 - xi * xi))
-    return Amplitudes(xi, chi)
+        xi = np.exp(-tau / 2.0) * (1.0 + tau / 2.0)
+    return Amplitudes(xi, np.sqrt(np.maximum(0.0, 1.0 - xi * xi)))
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ class SpectralDensity:
         """Rate converting raw time to the dimensionless evolution variable."""
         return self.gamma if self.kind == "flat" else self.lam
 
-    def amplitudes(self, tau: float) -> Amplitudes:
-        """Amplitude pair at dimensionless time tau (gamma*t or lambda*t)."""
+    def amplitudes(self, tau) -> Amplitudes:
+        """Amplitude pair at dimensionless time(s) tau (gamma*t or lambda*t)."""
         if self.kind == "flat":
             return amplitudes_flat(tau)
         return amplitudes_lorentz(tau, self.W / self.lam)
@@ -171,29 +176,25 @@ def pure_state(family: str, alpha: complex, beta: complex, amps: Amplitudes) -> 
     weight over |1100>, |1001>, |0110>, |0011>; for ``one_exc`` the single
     excitation is shared between each spin and its own reservoir mode.
     Tracing out both reservoirs reproduces the familiar X-shaped reduced
-    spin states entrywise.
+    spin states entrywise.  Scalar amplitudes give a (16,) state, arrays
+    of shape S a stack of shape S + (16,).
     """
-    xi, chi = amps
-    psi = np.zeros(16, dtype=complex)
+    xi, chi = np.asarray(amps, dtype=float)
+    psi = np.zeros(xi.shape + (16,), dtype=complex)
     if family == "two_exc":
-        psi[0b0000] = alpha
-        psi[0b1100] = beta * xi * xi
-        psi[0b1001] = beta * xi * chi
-        psi[0b0110] = beta * chi * xi
-        psi[0b0011] = beta * chi * chi
+        psi[..., 0b0000] = alpha
+        psi[..., 0b1100] = beta * xi * xi
+        psi[..., 0b1001] = beta * xi * chi
+        psi[..., 0b0110] = beta * chi * xi
+        psi[..., 0b0011] = beta * chi * chi
     elif family == "one_exc":
-        psi[0b0100] = alpha * xi
-        psi[0b0001] = alpha * chi
-        psi[0b1000] = beta * xi
-        psi[0b0010] = beta * chi
+        psi[..., 0b0100] = alpha * xi
+        psi[..., 0b0001] = alpha * chi
+        psi[..., 0b1000] = beta * xi
+        psi[..., 0b0010] = beta * chi
     else:
         raise ValueError(f"pure_state: unknown family {family!r}")
     return psi
-
-
-def build_state(scenario: Scenario, amps: Amplitudes) -> np.ndarray:
-    """State vector for a scenario's initial weights at given amplitudes."""
-    return pure_state(scenario.family, scenario.alpha, scenario.beta, amps)
 
 
 def reduced(state: np.ndarray, partition: str) -> np.ndarray:
@@ -215,7 +216,7 @@ def reduced_batch(states: np.ndarray, partition: str) -> np.ndarray:
 
 def amplitude_batch(scenario: Scenario) -> np.ndarray:
     """The (xi, chi) pairs over a scenario's whole grid, shape (T, 2)."""
-    return np.array([scenario.spectral.amplitudes(t) for t in scenario.time_grid])
+    return np.stack(scenario.spectral.amplitudes(scenario.time_grid), axis=1)
 
 
 def state_batch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +226,4 @@ def state_batch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     (T, 16) stack of pure states.
     """
     amps = amplitude_batch(scenario)
-    states = np.stack(
-        [pure_state(scenario.family, scenario.alpha, scenario.beta, Amplitudes(*a)) for a in amps]
-    )
-    return amps, states
+    return amps, pure_state(scenario.family, scenario.alpha, scenario.beta, amps.T)

@@ -91,6 +91,16 @@ class TestRunSweep:
         assert audit.passed
         assert audit.margin < 1e-6
 
+    def test_agreement_audit_only_with_a_closed_form_partition(self):
+        # a sweep without a closed-form partition used to report a PASS
+        # (margin 0, worst_at "") after comparing nothing
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
+        assert run_sweep(sc, ("s1r1",), "both", grid=12, refine_iters=2).audits == []
+        res = run_sweep(sc, ("s1s2", "s1r1"), "both", grid=12, refine_iters=2)
+        assert [a.name for a in res.audits] == ["closed_vs_brute"]
+        assert res.audits[0].passed
+        assert res.audits[0].details["worst_at"].startswith("s1s2/")
+
     def test_non_finite_cell_fails_agreement(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
@@ -275,7 +285,7 @@ class TestSeriesDiagnostics:
 
     def test_lorentz_amplitude_oscillates(self):
         taus = np.linspace(0.0, 1.0, 2001)
-        xis = np.array([amplitudes_lorentz(t, math.sqrt(200.0)).xi for t in taus])
+        xis = amplitudes_lorentz(taus, math.sqrt(200.0)).xi
         assert count_sign_changes(xis) >= 4
         # zero spacing matches the underdamped period
         om = math.sqrt(799.0)

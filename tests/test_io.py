@@ -411,6 +411,35 @@ class TestCli:
         assert rc == 0
         assert ",first" in (tmp_path / "oracle.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("figures", ["--side", "first"]),
+            ("figures", ["--pipeline", "closed"]),
+            ("audit", ["--pipeline", "both"]),
+            ("audit", ["--out", "out"]),
+            ("oracle", ["--pipeline", "brute"]),
+        ],
+    )
+    def test_flags_a_subcommand_would_ignore_are_usage_errors(self, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(bell_doc()))
+        argv = [command] + ([] if command == "figures" else ["run.json"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid", "8", "--refine", "1"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_sweep_takes_pipeline_and_side(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bell_doc(side="second")))
+        flags = ["--grid", "8", "--refine", "1", "--pipeline", "brute", "--side", "first"]
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)] + flags) == 0
+        text = (tmp_path / "sweep.csv").read_text()
+        assert "closed_form" not in text
+        assert ",first" in text
+
     def test_figures_fast_settings(self, tmp_path):
         rc = main(["figures", "--out", str(tmp_path / "figs"), "--grid", "8", "--refine", "1"])
         assert rc == 0

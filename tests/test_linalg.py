@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spinboson.linalg import (
-    SIGMA_Y,
-    binary_entropy,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    partial_trace,
-    random_pure_state,
-    tensor,
-    von_neumann_entropy,
+from spinboson.correlations import (
+    _SPIN_FLIP,
+    classical_correlation_bruteforce,
+    concurrence_wootters,
+    discord,
+    mutual_information,
 )
+from spinboson.linalg import SIGMA_Y, binary_entropy, require_state, von_neumann_entropy
 
 
 def h2(x):
@@ -22,112 +20,12 @@ def h2(x):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-class TestTensor:
-    def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projectors(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        assert np.array_equal(tensor(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_spin_flip_matrix(self):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3] = expected[3, 0] = -1.0
-        expected[1, 2] = expected[2, 1] = 1.0
-        assert np.abs(tensor(SIGMA_Y, SIGMA_Y) - expected).max() == 0.0
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="dimension"):
-            tensor(np.eye(8), np.eye(4))
-
-    def test_associative(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        # entries are triple products; float reassociation costs at most 1 ulp
-        assert np.abs(left - right).max() < 1e-15 * np.abs(left).max()
+def test_spin_flip_is_sigma_y_squared():
+    assert np.array_equal(_SPIN_FLIP, np.kron(SIGMA_Y, SIGMA_Y))
 
 
-class TestPartialTrace:
-    def test_product_state_factorises(self):
-        ra = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
-        rb = np.diag([0.25, 0.75]).astype(complex)
-        rho = tensor(ra, rb)
-        assert np.abs(partial_trace(rho, [0], [2, 2]) - ra).max() < 1e-14
-        assert np.abs(partial_trace(rho, [1], [2, 2]) - rb).max() < 1e-14
-
-    def test_two_excitation_initial_state(self):
-        # alpha |0000> + beta |1100>, no decay yet: spins keep the full
-        # superposition, reservoirs come out empty.
-        alpha, beta = 0.6, 0.8
-        psi = np.zeros(16, dtype=complex)
-        psi[0b0000] = alpha
-        psi[0b1100] = beta
-        rho = np.outer(psi, psi.conj())
-        spins = partial_trace(rho, [0, 1], [2, 2, 2, 2])
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = alpha**2
-        expected[3, 3] = beta**2
-        expected[0, 3] = expected[3, 0] = alpha * beta
-        assert np.abs(spins - expected).max() < 1e-12
-        res = partial_trace(rho, [2, 3], [2, 2, 2, 2])
-        assert np.abs(res - np.diag([1.0, 0, 0, 0])).max() < 1e-12
-
-    def test_half_decayed_corner(self):
-        # xi^2 = chi^2 = 1/2 puts |alpha|^2 + |beta|^2/4 in the corner
-        alpha, beta = 0.6, 0.8
-        xi = chi = 2.0**-0.5
-        psi = np.zeros(16, dtype=complex)
-        psi[0b0000] = alpha
-        psi[0b1100] = beta * xi * xi
-        psi[0b1001] = beta * xi * chi
-        psi[0b0110] = beta * chi * xi
-        psi[0b0011] = beta * chi * chi
-        spins = partial_trace(np.outer(psi, psi.conj()), [0, 1], [2, 2, 2, 2])
-        assert abs(spins[0, 0] - (alpha**2 + beta**2 / 4.0)) < 1e-12
-        assert abs(spins[1, 1] - beta**2 / 4.0) < 1e-12
-        assert abs(spins[0, 3] - alpha * beta / 2.0) < 1e-12
-
-    def test_trace_and_positivity_preserved(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            psi = random_pure_state(rng)
-            rho = np.outer(psi, psi.conj())
-            keep = [0, 2]
-            red = partial_trace(rho, keep, [2, 2, 2, 2])
-            assert abs(red.trace().real - 1.0) < 1e-10
-            assert hermitian_eigenvalues(red).min() > -1e-10
-
-    def test_malformed_dims_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4.0
-        with pytest.raises(ValueError, match="dims"):
-            partial_trace(rho, [0], [2, 3])
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(rho, [5], [2, 2])
-
-    def test_schmidt_symmetry(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            psi = random_pure_state(rng)
-            rho = np.outer(psi, psi.conj())
-            sa = von_neumann_entropy(partial_trace(rho, [0, 3], [2, 2, 2, 2]))
-            sb = von_neumann_entropy(partial_trace(rho, [1, 2], [2, 2, 2, 2]))
-            assert abs(sa - sb) < 1e-8
-
-
-class TestEigensolver:
-    def test_diagonal(self):
-        vals = hermitian_eigenvalues(np.diag([0.3, 0.7]).astype(complex))
-        assert np.allclose(vals, [0.7, 0.3], atol=1e-13)
-
-    def test_rank_one_projector(self):
-        m = np.full((2, 2), 0.5, dtype=complex)
-        assert np.allclose(hermitian_eigenvalues(m), [1.0, 0.0], atol=1e-13)
-
-    def test_x_state_blocks(self):
+class TestRequireState:
+    def test_x_state_spectrum(self):
         # two-excitation reduced state at beta^2 = xi^2 = 1/2: middle block
         # is degenerate at 1/8, outer block follows the 2x2 closed form
         b2 = x2 = c2 = 0.5
@@ -137,34 +35,37 @@ class TestEigensolver:
         rho[1, 1] = rho[2, 2] = b2 * x2 * c2
         rho[3, 3] = b2 * x2 * x2
         rho[0, 3] = rho[3, 0] = math.sqrt(a2 * b2) * x2
-        vals = hermitian_eigenvalues(rho)
+        _, vals = require_state(rho, "test", 4)
         aa, dd, zz = rho[0, 0].real, rho[3, 3].real, rho[0, 3].real
         outer_hi = 0.5 * (aa + dd + math.hypot(aa - dd, 2 * zz))
         outer_lo = 0.5 * (aa + dd - math.hypot(aa - dd, 2 * zz))
-        assert np.allclose(vals, sorted([outer_hi, outer_lo, 0.125, 0.125], reverse=True), atol=1e-12)
+        assert np.allclose(vals, sorted([outer_hi, outer_lo, 0.125, 0.125]), atol=1e-12)
 
-    def test_against_numpy(self):
-        rng = np.random.default_rng(5)
-        for d in (2, 4, 8, 16):
-            for _ in range(20):
-                x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                h = (x + x.conj().T) / 2.0
-                mine = hermitian_eigenvalues(h)
-                ref = np.sort(np.linalg.eigvalsh(h))[::-1]
-                assert np.abs(mine - ref).max() < 1e-11
+    @pytest.mark.parametrize(
+        "check", [von_neumann_entropy, mutual_information, concurrence_wootters, discord, classical_correlation_bruteforce]
+    )
+    def test_single_state_functions_share_the_check(self, check):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+        skew = bell.copy()
+        skew[0, 3] += 1e-9
+        cases = [
+            (np.eye(8)[:4] / 4.0, "shape"),
+            (skew, "Hermitian"),
+            (bell * 1.01, "trace"),
+            (np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex), "eigenvalue"),
+        ]
+        for rho, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check(rho)
+        check(bell)
 
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        h = (x + x.conj().T) / 2.0
-        vals, vecs = hermitian_eigensystem(h)
-        rec = vecs @ np.diag(vals) @ vecs.conj().T
-        assert np.abs(rec - h).max() < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(m)
+    def test_dimension_limits(self):
+        with pytest.raises(ValueError, match="4x4"):
+            mutual_information(np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match="16x16"):
+            von_neumann_entropy(np.eye(32) / 32.0)
+        assert abs(von_neumann_entropy(np.eye(16) / 16.0) - 4.0) < 1e-12
 
 
 class TestEntropy:

@@ -3,20 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from spinboson.linalg import von_neumann_entropy
+from spinboson.linalg import random_pure_state, von_neumann_entropy
 from spinboson.model import (
     PARTITION_ORDER,
+    PARTITIONS,
     Amplitudes,
     Scenario,
     SpectralDensity,
     amplitudes_flat,
     amplitudes_lorentz,
-    build_state,
     pure_state,
     reduced,
+    reduced_batch,
+    state_batch,
 )
 
 RATIO = math.sqrt(200.0)  # strong-coupling figure parameter W/lambda
+
+
+def partial_trace(rho, keep, dims):
+    """Reference reduced matrix of the subsystems in ``keep`` (in their original order)."""
+    n = len(dims)
+    keep = sorted(keep)
+    row = [chr(ord("a") + i) for i in range(n)]
+    col = [row[i] if i not in keep else chr(ord("a") + n + i) for i in range(n)]
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return np.einsum("".join(row + col) + "->" + out, rho.reshape(list(dims) * 2)).reshape(d_keep, d_keep)
 
 
 class TestFlatAmplitudes:
@@ -33,14 +46,15 @@ class TestFlatAmplitudes:
         assert xi < 1e-17
         assert abs(chi - 1.0) < 1e-15
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize("tau", [-0.1, math.nan, [0.5, math.nan]])
+    def test_negative_time_rejected(self, tau):
+        # a NaN time used to give (nan, nan)
         with pytest.raises(ValueError, match="negative"):
-            amplitudes_flat(-0.1)
+            amplitudes_flat(tau)
 
     def test_monotone(self):
         ts = np.linspace(0.0, 6.0, 200)
-        xs = np.array([amplitudes_flat(t).xi for t in ts])
-        cs = np.array([amplitudes_flat(t).chi for t in ts])
+        xs, cs = amplitudes_flat(ts)
         assert np.all(np.diff(xs) < 0.0)
         assert np.all(np.diff(cs) > 0.0)
         assert np.abs(xs**2 + cs**2 - 1.0).max() < 1e-12
@@ -90,10 +104,41 @@ class TestLorentzAmplitudes:
         assert abs(chi - 1.0) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            amplitudes_lorentz(-1.0, RATIO)
-        with pytest.raises(ValueError):
-            amplitudes_lorentz(1.0, 0.0)
+        for tau in (-1.0, math.nan, [0.5, math.nan]):
+            for ratio in (0.2, 0.5, RATIO):
+                with pytest.raises(ValueError, match="negative"):
+                    amplitudes_lorentz(tau, ratio)
+        # a NaN ratio used to give the critical-damping amplitude
+        for ratio in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                amplitudes_lorentz(1.0, ratio)
+        # math.sin raised on an infinite phase; np.sin would return NaN
+        with pytest.raises(ValueError, match="phase"):
+            amplitudes_lorentz([1.0, 1e308], RATIO)
+
+
+class TestArrayAmplitudes:
+    @pytest.mark.parametrize(
+        "spectral",
+        [SpectralDensity("flat", gamma=1.0)]
+        + [SpectralDensity("lorentz", W=r, lam=1.0) for r in (0.2, 0.5, RATIO)],
+    )
+    def test_array_matches_scalars(self, spectral):
+        taus = np.linspace(0.0, 3.0, 31)
+        xi, chi = spectral.amplitudes(taus)
+        assert xi.shape == chi.shape == taus.shape
+        for k, tau in enumerate(taus):
+            one = spectral.amplitudes(tau)
+            assert type(one.xi) is type(one.chi) is np.float64
+            assert (one.xi, one.chi) == (xi[k], chi[k])
+
+    @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
+    def test_state_batch_stacks_pure_states(self, family):
+        sc = Scenario(family, 0.6, 0.8j, SpectralDensity("lorentz", W=RATIO, lam=1.0), np.linspace(0.0, 2.0, 21))
+        amps, states = state_batch(sc)
+        assert amps.shape == (21, 2) and states.shape == (21, 16)
+        for a, psi in zip(amps, states):
+            assert np.array_equal(pure_state(family, 0.6, 0.8j, Amplitudes(*a)), psi)
 
 
 def two_exc_reduced_expected(alpha, beta, xi, chi):
@@ -185,10 +230,84 @@ class TestReduced:
             reduced(psi, "s1s3")
 
 
+class TestPartialTrace:
+    def test_product_state_factorises(self):
+        ra = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
+        rb = np.diag([0.25, 0.75]).astype(complex)
+        rho = np.kron(ra, rb)
+        assert np.abs(partial_trace(rho, [0], [2, 2]) - ra).max() < 1e-14
+        assert np.abs(partial_trace(rho, [1], [2, 2]) - rb).max() < 1e-14
+
+    def test_two_excitation_initial_state(self):
+        # alpha |0000> + beta |1100>, no decay yet: spins keep the full
+        # superposition, reservoirs come out empty.
+        alpha, beta = 0.6, 0.8
+        psi = np.zeros(16, dtype=complex)
+        psi[0b0000] = alpha
+        psi[0b1100] = beta
+        rho = np.outer(psi, psi.conj())
+        spins = partial_trace(rho, [0, 1], [2, 2, 2, 2])
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = alpha**2
+        expected[3, 3] = beta**2
+        expected[0, 3] = expected[3, 0] = alpha * beta
+        assert np.abs(spins - expected).max() < 1e-12
+        res = partial_trace(rho, [2, 3], [2, 2, 2, 2])
+        assert np.abs(res - np.diag([1.0, 0, 0, 0])).max() < 1e-12
+
+    def test_half_decayed_corner(self):
+        # xi^2 = chi^2 = 1/2 puts |alpha|^2 + |beta|^2/4 in the corner
+        alpha, beta = 0.6, 0.8
+        xi = chi = 2.0**-0.5
+        psi = np.zeros(16, dtype=complex)
+        psi[0b0000] = alpha
+        psi[0b1100] = beta * xi * xi
+        psi[0b1001] = beta * xi * chi
+        psi[0b0110] = beta * chi * xi
+        psi[0b0011] = beta * chi * chi
+        spins = partial_trace(np.outer(psi, psi.conj()), [0, 1], [2, 2, 2, 2])
+        assert abs(spins[0, 0] - (alpha**2 + beta**2 / 4.0)) < 1e-12
+        assert abs(spins[1, 1] - beta**2 / 4.0) < 1e-12
+        assert abs(spins[0, 3] - alpha * beta / 2.0) < 1e-12
+
+    def test_trace_and_positivity_preserved(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            psi = random_pure_state(rng)
+            rho = np.outer(psi, psi.conj())
+            keep = [0, 2]
+            red = partial_trace(rho, keep, [2, 2, 2, 2])
+            assert abs(red.trace().real - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(red)[0] > -1e-10
+
+    def test_schmidt_symmetry(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            psi = random_pure_state(rng)
+            rho = np.outer(psi, psi.conj())
+            sa = von_neumann_entropy(partial_trace(rho, [0, 3], [2, 2, 2, 2]))
+            sb = von_neumann_entropy(partial_trace(rho, [1, 2], [2, 2, 2, 2]))
+            assert abs(sa - sb) < 1e-8
+
+    @pytest.mark.parametrize("partition", PARTITION_ORDER)
+    def test_reduced_batch_matches_reference(self, partition):
+        rng = np.random.default_rng(21)
+        states = [random_pure_state(rng) for _ in range(40)]
+        for family in ("two_exc", "one_exc"):
+            for spectral in (SpectralDensity("flat", gamma=1.0), SpectralDensity("lorentz", W=RATIO, lam=1.0)):
+                sc = Scenario(family, 0.6, 0.8j, spectral, np.linspace(0.0, 2.0, 9))
+                states.extend(state_batch(sc)[1])
+        states = np.stack(states)
+        got = reduced_batch(states, partition)
+        for psi, rho in zip(states, got):
+            ref = partial_trace(np.outer(psi, psi.conj()), PARTITIONS[partition], [2, 2, 2, 2])
+            assert np.abs(rho - ref).max() < 1e-14
+
+
 class TestScenario:
-    def test_build_state_uses_family(self):
+    def test_state_batch_uses_family(self):
         sc = Scenario("one_exc", 0.6, 0.8, SpectralDensity("flat", gamma=1.0), np.array([0.0, 1.0]))
-        psi = build_state(sc, Amplitudes(1.0, 0.0))
+        psi = state_batch(sc)[1][0]
         assert abs(psi[0b0100] - 0.6) < 1e-15
         assert abs(psi[0b1000] - 0.8) < 1e-15
 
