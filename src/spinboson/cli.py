@@ -53,20 +53,9 @@ def _load_config(path: str, args) -> RunConfig:
     return replace(cfg, **_overrides(args))
 
 
-def _run_from_config(cfg: RunConfig, pipeline: str | None = None):
-    return run_sweep(
-        cfg.scenario(),
-        cfg.partitions,
-        pipeline or PIPELINE_NAMES[cfg.pipeline],
-        side=cfg.side,
-        grid=cfg.grid,
-        refine_iters=cfg.refine_iters,
-    )
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args)
-    result = _run_from_config(cfg)
+    result = run_sweep(**cfg.sweep_args())
     out_dir = Path(cfg.out_dir or ".")
     csv_path = emit_csv(result, out_dir / "sweep.csv")
     print(csv_path)
@@ -78,7 +67,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_config(args.config, args)
-    result = _run_from_config(cfg, pipeline="brute_force")
+    result = run_sweep(**cfg.sweep_args("brute_force"))
     out_dir = Path(cfg.out_dir or ".")
     csv_path = emit_csv(result, out_dir / "oracle.csv")
     print(csv_path)
@@ -90,12 +79,12 @@ def _cmd_audit(args) -> int:
     outcomes = []
 
     if "agreement" in cfg.audits:
-        result = _run_from_config(cfg, pipeline="both")
+        result = run_sweep(**cfg.sweep_args("both"))
         outcomes.extend(result.audits)
 
     if "square_sums" in cfg.audits:
         sq_cfg = replace(cfg, partitions=SQUARE_SUM_PARTITIONS)
-        sq_result = _run_from_config(sq_cfg, pipeline="brute_force")
+        sq_result = run_sweep(**sq_cfg.sweep_args("brute_force"))
         for measure in ("quantum", "classical", "concurrence"):
             outcomes.append(square_sum_audit(sq_result, measure))
 

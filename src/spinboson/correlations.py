@@ -8,14 +8,13 @@ quantum correlation (discord) Q:
 * closed forms for the spin pair and the reservoir pair of the two
   evolving initial-state families of :mod:`spinboson.model`.
 
-The optimiser has two paths.  X states, whose eight entries off the
-diagonal and the anti-diagonal are exactly zero (every partition of both
-families is one at every time), get the measurement azimuth in closed
-form from the state's correlation matrix and a one-dimensional search
-over the polar angle.  Every other state gets a deterministic mesh scan
-over (polar, azimuth) on the upper hemisphere plus local refinement.  Both
-paths work on the real Bloch form of the state.  The test is for exact
-zeros, so a state with round-off in those entries takes the mesh scan.
+The optimiser works on the real Bloch form of the state: a deterministic
+mesh scan over (polar, azimuth) on the upper hemisphere, then local
+refinement.  X states, whose eight entries off the diagonal and the
+anti-diagonal are exactly zero (every partition of both families is one
+at every time), scan a single azimuth, which follows in closed form from
+the state's correlation matrix.  The test is for exact zeros, so a state
+with round-off in those entries scans every azimuth.
 
 The measurement class is restricted to rank-1 projective measurements.
 General POVMs never beat them for any state handled here (the closed-form
@@ -53,7 +52,6 @@ _SPIN_FLIP = np.array(
 # identity first: R_uv = Tr(rho sigma_u x sigma_v) holds a, b and T of the
 # Bloch form in its first column, first row and lower-right block
 _PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
-_PAULI_XY = _PAULI[1:3]
 
 # Entries off the diagonal and the anti-diagonal; all are exactly zero in
 # an X state.
@@ -65,12 +63,14 @@ _P_FLOOR = 1e-14
 
 _DISCORD_CLAMP = -1e-8
 
-# Measurement axes per slice of states, bounding the (states, axes) work arrays.
-# On the benchmark panel the first mesh took 0.27, 0.36 and 0.41 s and the
-# refinement 0.089, 0.100 and 0.083 s at 2^13, 2^14 and 2^15.
-_SLICE_AXES = 2**13
+# Measurement axes per slice of states, bounding the (states, axes) work arrays
+# to 32 KiB each.  Timed interleaved in one process on a 2-vCPU Xeon (48 KiB L1d
+# per core), 2^12 beat 2^13 in 15 of 16 calls on the benchmark's seed-1 panel of
+# 606 general states (median 0.22 against 0.31 s) and in 115 of 120 on the
+# README sweep's 606 X states (12 against 16 ms), and beat 2^11 in every call.
+_SLICE_AXES = 2**12
 
-# Points per side of each refinement box of the general-state optimiser: on
+# Points per side of each refinement box (in theta only for X states): on
 # panel seeds 0-10 at grid 64, 4 rounds, 9 falls at most 4.3e-10 bits short
 # of the benchmark's reference, 13 at most 1.8e-10 for 1.35x the time.
 _BOX = 9
@@ -114,20 +114,17 @@ def classical_correlation_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
-    States whose eight entries off the diagonal and the anti-diagonal are
-    exactly zero (X states) take a one-dimensional search: the azimuth phi
-    follows in closed form from the correlation matrix, and ``grid`` points
-    of the polar angle theta in [0, pi/2] are scanned and then refined
-    ``refine_iters`` times, the search interval shrinking five-fold around
-    the best theta each round.  Every other state scans a ``grid`` x
-    ``grid`` mesh over the upper hemisphere, theta in [0, pi/2] and phi in
-    [0, 2 pi), and refines around the best axis ``refine_iters`` times,
-    each round shrinking the box eight-fold in three halving steps of 9 x 9
-    axes, grid^2 + 243 ``refine_iters`` axes in all; the box is not
-    clipped, so it may cross the pole or phi = 2 pi.  The search is
-    deterministic, a larger ``refine_iters`` never lowers a value, and each
-    state's result is independent of its batch.  States are processed in
-    slices of at most ``_SLICE_AXES`` measurement axes per scan.
+    Scans a ``grid`` x ``grid`` mesh over the upper hemisphere, polar angle
+    theta in [0, pi/2] and azimuth phi in [0, 2 pi), and refines around the
+    best axis ``refine_iters`` times, each round shrinking the box
+    eight-fold in three halving steps of 9 x 9 axes: grid^2 + 243
+    ``refine_iters`` axes in all.  The box is not clipped, so it may cross
+    the pole or phi = 2 pi.  States whose eight entries off the diagonal
+    and the anti-diagonal are exactly zero (X states) scan one azimuth,
+    known in closed form, in every box: grid + 27 ``refine_iters`` axes.
+    The search is deterministic and each state's result is independent of
+    its batch.  Each scan covers as many states as fit in ``_SLICE_AXES``
+    measurement axes, and at least one.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -142,88 +139,20 @@ def classical_correlation_batch(
     thetas = np.empty(n)
     phis = np.empty(n)
     is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
-    for rows, solve, axes in (
-        (np.flatnonzero(is_x), _cc_x, grid),
-        (np.flatnonzero(~is_x), _cc_mesh, _BOX * _BOX),
-    ):
-        size = max(1, _SLICE_AXES // axes)
-        for lo in range(0, len(rows), size):
-            sel = rows[lo:lo + size]
-            values[sel], thetas[sel], phis[sel] = solve(rhos[sel], side, grid, refine_iters)
+    for x_states in (True, False):
+        rows = np.flatnonzero(is_x == x_states)
+        values[rows], thetas[rows], phis[rows] = _cc_mesh(rhos[rows], side, grid, refine_iters, x_states)
     return values, thetas, phis
 
 
-def _cc_x(rhos, side, grid, refine_iters):
-    """Optimiser for X states in the real Bloch form.
+def _cc_mesh(rhos, side, grid, refine_iters, x_states):
+    """Measurement optimiser in the real Bloch form.
 
     With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j)/4
     and the second qubit measured along n, the first is left with Bloch
     vector (a +- T n) / (2 p+-) with probability p+- = (1 +- b.n)/2 (Luo,
-    PRA 77, 042303 (2008)).  An X state has a = a3 z, b = b3 z and T block
-    diagonal, so |a +- T n|^2 = (a3 +- T33 cos theta)^2 + |T_xy u|^2
-    sin^2 theta with u the azimuthal unit vector.  p+- does not depend on
-    phi, so the best phi maximises |T_xy u| for every theta: u is the top
-    right-singular vector of T_xy, and the search over theta is
-    one-dimensional (Chen et al., PRA 84, 042313 (2011)).  n and -n are the
-    same measurement, so theta stays in [0, pi/2].
-    """
-    n = rhos.shape[0]
-    d = np.diagonal(rhos, axis1=1, axis2=2).real
-    z_first = d[:, 0] + d[:, 1] - d[:, 2] - d[:, 3]
-    z_second = d[:, 0] - d[:, 1] + d[:, 2] - d[:, 3]
-    t33 = d[:, 0] - d[:, 1] - d[:, 2] + d[:, 3]
-    # T_ij = Tr(rho sigma_i x sigma_j) for i, j in {x, y}
-    t_xy = np.einsum("nabcd,ica,jdb->nij", rhos.reshape(n, 2, 2, 2, 2), _PAULI_XY, _PAULI_XY).real
-    if side == "second":
-        a3, b3 = z_first, z_second
-    else:
-        a3, b3 = z_second, z_first
-        t_xy = np.swapaxes(t_xy, 1, 2)
-    # top eigenpair of the symmetric 2x2 T_xy^T T_xy
-    g = np.einsum("nki,nkj->nij", t_xy, t_xy)
-    half_diff = 0.5 * (g[:, 0, 0] - g[:, 1, 1])
-    sigma2 = 0.5 * (g[:, 0, 0] + g[:, 1, 1]) + np.hypot(half_diff, g[:, 0, 1])
-    phi = np.mod(0.5 * np.arctan2(g[:, 0, 1], half_diff), np.pi)
-    s_est = _entropy_half(np.minimum(np.abs(a3), 1.0))
-
-    a3, b3, t33, sigma2 = (x[:, None] for x in (a3, b3, t33, sigma2))
-    frac = np.linspace(0.0, 1.0, grid)[None, :]
-    t_lo = np.zeros(n)
-    t_hi = np.full(n, 0.5 * np.pi)
-    best_v = np.full(n, -np.inf)
-    best_t = np.zeros(n)
-    rows = np.arange(n)
-    for _ in range(refine_iters + 1):
-        th = t_lo[:, None] + (t_hi - t_lo)[:, None] * frac
-        ct = np.cos(th)
-        st2 = np.sin(th) ** 2
-        val = s_est[:, None]
-        for sign in (1.0, -1.0):
-            p = 0.5 * (1.0 + sign * b3 * ct)
-            length = np.sqrt((a3 + sign * t33 * ct) ** 2 + sigma2 * st2)
-            ok = p > _P_FLOOR
-            radius = np.minimum(np.where(ok, length / np.where(ok, 2.0 * p, 1.0), 0.0), 1.0)
-            val = val - np.where(ok, p, 0.0) * _entropy_half(radius)
-
-        # theta rises along each row: the last maximum has the largest theta
-        idx = grid - 1 - np.argmax(val[:, ::-1], axis=1)
-        cand_v, cand_t = val[rows, idx], th[rows, idx]
-        better = (cand_v > best_v) | ((cand_v == best_v) & (cand_t > best_t))
-        best_v = np.where(better, cand_v, best_v)
-        best_t = np.where(better, cand_t, best_t)
-
-        span = (t_hi - t_lo) / 5.0
-        t_lo = np.clip(best_t - span / 2.0, 0.0, 0.5 * np.pi)
-        t_hi = np.clip(best_t + span / 2.0, 0.0, 0.5 * np.pi)
-
-    return np.maximum(best_v, 0.0), best_t, phi
-
-
-def _cc_mesh(rhos, side, grid, refine_iters):
-    """Optimiser for general states in the real Bloch form.
-
-    The objective of :func:`_cc_x`, S(A) - sum_+- p+- H((1 + |a +- T n| /
-    (2 p+-)) / 2), over both angles of n (Girolami & Adesso, PRA 83, 052108
+    PRA 77, 042303 (2008)), so C is the maximum over n of S(A) - sum_+- p+-
+    H((1 + |a +- T n| / (2 p+-)) / 2) (Girolami & Adesso, PRA 83, 052108
     (2011)).  n and -n are the same measurement, so the first mesh, ``grid``
     x ``grid`` axes, covers the upper hemisphere.  Each of the
     ``refine_iters`` rounds then shrinks the box eight-fold in three
@@ -232,39 +161,52 @@ def _cc_mesh(rhos, side, grid, refine_iters):
     n is smooth and periodic, so the boxes need no clipping; n(-theta, phi)
     = n(theta, phi + pi) normalises the returned axis.
 
+    With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
+    is block diagonal, so p+- does not depend on phi and the best phi
+    maximises n.G n for every theta, with G = T^T T.  That phi, along the
+    top eigenvector of G's xy block, is the only azimuth scanned (Chen et
+    al., PRA 84, 042313 (2011)), and the boxes have azimuthal width 0.
+
     Each scan is an outer product of polar angles and azimuths, and so is
     every term: v.n = sin theta (v_x cos phi + v_y sin phi) + v_z cos theta,
-    and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n with G = T^T T, clamped
-    at 0 against round-off before the square root.
+    and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n, clamped at 0 against
+    round-off before the square root.  Near an empty branch that expansion
+    loses digits, so the winning axis is scored once more with |a +- T n|
+    computed directly, and that value is returned.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
     if side == "first":
         r = np.swapaxes(r, 1, 2)
-    # a of the kept qubit, b of the measured one; trailing axes span the scan
-    a, b, t = r[:, 1:, 0], r[:, 0, 1:, None, None], r[:, 1:, 1:]
-    a2 = np.einsum("ni,ni->n", a, a)[:, None, None]
+    # a of the kept qubit, b of the measured one
+    a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    a2 = np.einsum("ni,ni->n", a, a)
     s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
-    g = np.einsum("nki,nkj->nij", t, t)[..., None, None]
-    at2 = 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
-    best_v, best_t, best_p = np.full(n, -np.inf), np.zeros(n), np.zeros(n)
+    g = np.einsum("nki,nkj->nij", t, t)
+    best_v, best_t = np.full(n, -np.inf), np.zeros(n)
+    # X states scan one azimuth column, the closed-form one; the others
+    # start from phi = 0
+    if x_states:
+        best_p = np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)
+        span_p, cols = 0.0, 1
+    else:
+        best_p = np.zeros(n)
+        span_p, cols = 2.0 * np.pi * (grid - 1) / grid, None
+    # trailing axes span the scan
+    bs, gs, at2 = b[..., None, None], g[..., None, None], 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
 
     def scan(sel, th, ph):
-        """Score the outer product of th and ph, (k, m) each, for states sel."""
-        m = th.shape[1]
+        """Score the outer product of th (k, mt) and ph (k, mp) for states sel."""
+        mp = ph.shape[1]
         st, ct = np.sin(th)[:, :, None], np.cos(th)[:, :, None]
         cp, sp = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
-        gs = g[sel]
-        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (b[sel], at2[sel]))
+        gk = gs[sel]
+        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bs[sel], at2[sel]))
         # |a|^2 + n.G n, the part of |a +- T n|^2 even in the sign
-        even = a2[sel] + gs[:, 2, 2] * ct * ct + 2.0 * st * ct * (gs[:, 0, 2] * cp + gs[:, 1, 2] * sp) + (
-            st * st * (gs[:, 0, 0] * cp * cp + 2.0 * gs[:, 0, 1] * cp * sp + gs[:, 1, 1] * sp * sp))
-        val = 0.0
-        for q, len2 in ((1.0 + bn, even + an2), (1.0 - bn, even - an2)):
-            # q = 2 p+-; an empty branch (p <= _P_FLOOR) gets weight 0 and any radius
-            radius = np.minimum(np.sqrt(np.maximum(len2, 0.0)) / np.maximum(q, 2.0 * _P_FLOOR), 1.0)
-            val = val + np.where(q > 2.0 * _P_FLOOR, q, 0.0) * _entropy_half(radius)
-        val = (s_est[sel] - 0.5 * val).reshape(-1, m * m)
+        even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
+            st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
+        lengths = (np.sqrt(np.maximum(even + an2, 0.0)), np.sqrt(np.maximum(even - an2, 0.0)))
+        val = _objective(s_est[sel, None, None], bn, lengths).reshape(len(th), -1)
 
         # ties keep the first maximum, in scan order and then round order
         idx = np.argmax(val, axis=1)
@@ -272,28 +214,47 @@ def _cc_mesh(rhos, side, grid, refine_iters):
         cand_v = val[rows, idx]
         better = cand_v > best_v[sel]
         best_v[sel] = np.where(better, cand_v, best_v[sel])
-        best_t[sel] = np.where(better, th[rows, idx // m], best_t[sel])
-        best_p[sel] = np.where(better, ph[rows, idx % m], best_p[sel])
+        best_t[sel] = np.where(better, th[rows, idx // mp], best_t[sel])
+        best_p[sel] = np.where(better, ph[rows, idx % mp], best_p[sel])
+
+    def slices(axes):
+        """Slices of the states, as many per slice as fit in _SLICE_AXES axes."""
+        size = max(1, _SLICE_AXES // axes)
+        return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
     frac = np.linspace(0.0, 1.0, grid)
     span_t = 0.5 * np.pi
-    span_p = 2.0 * np.pi * (grid - 1) / grid
-    size = max(1, _SLICE_AXES // (grid * grid))
-    for lo in range(0, n, size):
-        k = min(size, n - lo)
-        scan(slice(lo, lo + k), np.tile(span_t * frac, (k, 1)), np.tile(span_p * frac, (k, 1)))
+    for sel in slices(grid * len(frac[:cols])):
+        th = np.tile(span_t * frac, (sel.stop - sel.start, 1))
+        scan(sel, th, best_p[sel, None] + span_p * frac[:cols])
 
     # a box of width w has steps of w / (_BOX - 1), so the next, of width w / 2
     # around the best point, reaches (_BOX - 1) / 4 steps past it either way
     frac = np.linspace(0.0, 1.0, _BOX)
     for step in range(3, 3 * refine_iters + 3):
         box_t, box_p = span_t / 2**step, span_p / 2**step
-        scan(slice(None), best_t[:, None] - box_t / 2.0 + box_t * frac,
-             best_p[:, None] - box_p / 2.0 + box_p * frac)
+        for sel in slices(_BOX * len(frac[:cols])):
+            scan(sel, best_t[sel, None] - box_t / 2.0 + box_t * frac,
+                 best_p[sel, None] - box_p / 2.0 + box_p * frac[:cols])
 
+    st = np.sin(best_t)
+    axis = np.stack([st * np.cos(best_p), st * np.sin(best_p), np.cos(best_t)], axis=1)
+    tn = np.einsum("nij,nj->ni", t, axis)
+    value = _objective(s_est, np.einsum("ni,ni->n", b, axis),
+                       (np.linalg.norm(a + tn, axis=1), np.linalg.norm(a - tn, axis=1)))
     phi = np.mod(best_p + np.where(best_t < 0.0, np.pi, 0.0), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself
-    return np.maximum(best_v, 0.0), np.abs(best_t), np.where(phi < 2.0 * np.pi, phi, 0.0)
+    return np.maximum(value, 0.0), np.abs(best_t), np.where(phi < 2.0 * np.pi, phi, 0.0)
+
+
+def _objective(s_est, bn, lengths):
+    """S(A) - sum_+- p+- H((1 + |a +- T n| / (2 p+-)) / 2) from b.n and (|a + T n|, |a - T n|)."""
+    val = 0.0
+    for q, length in zip((1.0 + bn, 1.0 - bn), lengths):
+        # q = 2 p+-; an empty branch (p <= _P_FLOOR) gets weight 0 and any radius
+        radius = np.minimum(length / np.maximum(q, 2.0 * _P_FLOOR), 1.0)
+        val = val + np.where(q > 2.0 * _P_FLOOR, q, 0.0) * _entropy_half(radius)
+    return s_est - 0.5 * val
 
 
 def _entropy_half(r):
@@ -312,9 +273,9 @@ def classical_correlation_bruteforce(
     """Maximal entropy reduction of one qubit by measuring the other.
 
     Returns the correlation in bits together with a maximising axis.  Flat
-    maxima are common (any X state is azimuthally degenerate), so only the
-    value is meaningful for comparisons; the axis is one deterministic
-    representative of the optimal family.
+    maxima are common (the model's X states are azimuthally degenerate), so
+    only the value is meaningful for comparisons; the axis is one
+    deterministic representative of the optimal family.
     """
     rho, _ = require_state(rho, "classical_correlation", 4)
     v, t, p = classical_correlation_batch(rho[None], side, grid, refine_iters)

@@ -146,12 +146,15 @@ def run_sweep(
             if pipeline in ("closed_form", "both") and part in CLOSED_FORM_PARTITIONS:
                 cs, qs, cons = _closed_values(scenario, part, amps[lo:hi])
                 out[part, "closed_form"] = (cs + qs, cs, qs, cons)
-            if pipeline in ("brute_force", "both"):
-                rhos = reduced_batch(states[lo:hi], part)
-                cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
-                info = mutual_information_batch(rhos)
-                qvals = np.where(info - cvals > 0.0, info - cvals, 0.0)
-                out[part, "brute_force"] = (info, cvals, qvals, concurrence_batch(rhos))
+        if pipeline in ("brute_force", "both"):
+            # one call per measure on the reduced states of every partition
+            rhos = np.concatenate([reduced_batch(states[lo:hi], part) for part in partitions])
+            cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
+            info = mutual_information_batch(rhos)
+            qvals = np.where(info - cvals > 0.0, info - cvals, 0.0)
+            measures = np.stack([info, cvals, qvals, concurrence_batch(rhos)]).reshape(4, len(partitions), -1)
+            for i, part in enumerate(partitions):
+                out[part, "brute_force"] = tuple(measures[:, i])
         return out
 
     n = len(times)

@@ -115,6 +115,17 @@ class RunConfig:
             time_grid=self._time_grid(),
         )
 
+    def sweep_args(self, pipeline: str | None = None) -> dict:
+        """Keyword arguments of ``run_sweep`` for this run; ``pipeline`` overrides the config's."""
+        return dict(
+            scenario=self.scenario(),
+            partitions=self.partitions,
+            pipeline=pipeline or PIPELINE_NAMES[self.pipeline],
+            side=self.side,
+            grid=self.grid,
+            refine_iters=self.refine_iters,
+        )
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
@@ -483,16 +494,9 @@ def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
     out_dir = Path(out_dir)
     paths: list[Path] = []
     for name in FIGURE_CONFIGS:
-        cfg = figure_config(name, _BELL, **dict(overrides))
-        cfg_overlay = figure_config(name, _LOPSIDED, **dict(overrides))
-        res = run_sweep(
-            cfg.scenario(), cfg.partitions, PIPELINE_NAMES[cfg.pipeline],
-            side=cfg.side, grid=cfg.grid, refine_iters=cfg.refine_iters, workers=workers,
-        )
-        res_overlay = run_sweep(
-            cfg_overlay.scenario(), cfg_overlay.partitions, PIPELINE_NAMES[cfg_overlay.pipeline],
-            side=cfg_overlay.side, grid=cfg_overlay.grid,
-            refine_iters=cfg_overlay.refine_iters, workers=workers,
+        res, res_overlay = (
+            run_sweep(**figure_config(name, weights, **dict(overrides)).sweep_args(), workers=workers)
+            for weights in (_BELL, _LOPSIDED)
         )
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))
         paths.append(

@@ -115,14 +115,13 @@ class SpectralDensity:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "flat":
-            if self.gamma <= 0.0:
-                raise ValueError("SpectralDensity: flat spectrum needs gamma > 0")
-        elif self.kind == "lorentz":
-            if self.W <= 0.0 or self.lam <= 0.0:
-                raise ValueError("SpectralDensity: lorentz spectrum needs W > 0 and lambda > 0")
-        else:
+        fields = {"flat": (("gamma", self.gamma),), "lorentz": (("W", self.W), ("lambda", self.lam))}
+        if self.kind not in fields:
             raise ValueError(f"SpectralDensity: unknown kind {self.kind!r}")
+        for name, value in fields[self.kind]:
+            # NaN fails both tests
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"SpectralDensity: {self.kind} spectrum needs a finite {name} > 0, got {value!r}")
 
     @property
     def rate(self) -> float:

@@ -19,6 +19,7 @@ from spinboson.experiments import (
     square_sum_series,
 )
 from spinboson.model import (
+    PARTITION_ORDER,
     Scenario,
     SpectralDensity,
     amplitudes_flat,
@@ -137,6 +138,17 @@ class TestRunSweep:
                 a = r1.series(part, "brute_force", measure)
                 b = r3.series(part, "brute_force", measure)
                 assert a.shape == (12,) and np.array_equal(a, b)
+
+
+    def test_partition_set_invariance(self):
+        # the brute-force measures of all partitions are one stacked call
+        sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 12))
+        every = run_sweep(sc, PARTITION_ORDER, "brute_force", grid=12, refine_iters=2)
+        for part in PARTITION_ORDER:
+            alone = run_sweep(sc, (part,), "brute_force", grid=12, refine_iters=2)
+            for measure in SERIES_MEASURES:
+                assert np.array_equal(alone.series(part, "brute_force", measure),
+                                      every.series(part, "brute_force", measure))
 
 
 class TestFlatTailAudit:

@@ -338,3 +338,19 @@ class TestScenario:
             SpectralDensity("lorentz", W=0.0, lam=1.0)
         with pytest.raises(ValueError, match="kind"):
             SpectralDensity("square", gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(kind="flat", gamma=math.nan), "gamma"),
+            (dict(kind="flat", gamma=math.inf), "gamma"),
+            (dict(kind="lorentz", W=math.nan, lam=1.0), "W"),
+            (dict(kind="lorentz", W=1.0, lam=math.nan), "lambda"),
+            (dict(kind="lorentz", W=1.0, lam=-math.inf), "lambda"),
+        ],
+        ids=["flat_nan", "flat_inf", "lorentz_W_nan", "lorentz_lambda_nan", "lorentz_lambda_minus_inf"],
+    )
+    def test_non_finite_spectral_parameter_named(self, kwargs, name):
+        # NaN passed the old gamma <= 0 and W <= 0 or lam <= 0 checks
+        with pytest.raises(ValueError, match=rf"finite {name} > 0"):
+            SpectralDensity(**kwargs)
