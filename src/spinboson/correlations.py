@@ -124,7 +124,8 @@ def classical_correlation_batch(
     known in closed form, in every box: grid + 27 ``refine_iters`` axes.
     The search is deterministic and each state's result is independent of
     its batch.  Each scan covers as many states as fit in ``_SLICE_AXES``
-    measurement axes, and at least one.
+    measurement axes, and at least one; above grid 64 a general state's
+    first mesh is scanned in bands of theta that fit.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -224,9 +225,12 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
 
     frac = np.linspace(0.0, 1.0, grid)
     span_t = 0.5 * np.pi
+    # above grid 64 a state's mesh is scanned in theta bands, in order: the first maximum still wins
+    band = max(1, _SLICE_AXES // len(frac[:cols]))
     for sel in slices(grid * len(frac[:cols])):
-        th = np.tile(span_t * frac, (sel.stop - sel.start, 1))
-        scan(sel, th, best_p[sel, None] + span_p * frac[:cols])
+        ph = best_p[sel, None] + span_p * frac[:cols]
+        for lo in range(0, grid, band):
+            scan(sel, np.tile(span_t * frac[lo:lo + band], (sel.stop - sel.start, 1)), ph)
 
     # a box of width w has steps of w / (_BOX - 1), so the next, of width w / 2
     # around the best point, reaches (_BOX - 1) / 4 steps past it either way

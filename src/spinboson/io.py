@@ -4,6 +4,9 @@ Configs are JSON documents; every run is reproducible from its config
 alone.  CSV output uses a fixed header and 12-significant-digit floats and
 is byte-identical across runs and thread counts.  Plots are plain SVG 1.1
 text with no external assets, so they diff cleanly in version control.
+Numbers are formatted in batches, by one %-template per grid time (CSV
+rows) or per series (SVG paths).  Files are written to a temporary file
+and renamed into place; the CSV streams there in chunks of grid times.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bounds of the integer fields: far above every value the tests,
 # demos and benchmark use.  The optimiser scores grid^2 + 3 * 81 *
-# refine_iters axes per general state (its memory is capped per slice of
-# states), and a sweep keeps every grid time of every partition.
+# refine_iters axes per general state (each scan holds at most
+# correlations._SLICE_AXES axes, so its memory does not grow with grid),
+# and a sweep keeps every grid time of every partition.
 MAX_TIME_STEPS = 100_001
 MAX_GRID = 256
 MAX_REFINE_ITERS = 20
@@ -273,13 +277,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data) -> None:
+    """Write a string, or an iterable of string chunks, to ``path`` via a temp file and ``os.replace``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -287,8 +292,7 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_CSV_CHUNK = 1024  # grid times per chunk of CSV text streamed to the file
 
 
 def emit_csv(result: SweepResult, path) -> Path:
@@ -297,16 +301,20 @@ def emit_csv(result: SweepResult, path) -> Path:
     Rows are ordered by (time, partition, pipeline).
     """
     pairs = sorted({(part, pipe) for part, pipe, _ in result.values})
-    columns = [
-        (f"{part},{pipe}", [result.series(part, pipe, m) for m in SERIES_MEASURES],
-         result.side if pipe == "brute_force" else "second")
-        for part, pipe in pairs
-    ]
-    lines = [CSV_HEADER]
-    for i, t in enumerate(result.times()):
-        for label, cols, side in columns:
-            lines.append(",".join((_fmt(t), label, *(_fmt(c[i]) for c in cols), side)))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    # a grid time's rows: its time string joins the segments, its row of the (T, 4 pairs) stack fills them
+    sides = {"brute_force": result.side}
+    segments = [""] + [f",{part},{pipe}{',%.12g' * 4},{sides.get(pipe, 'second')}\n" for part, pipe in pairs]
+    times = result.times()
+    stack = np.array([result.series(*pair, m) for pair in pairs for m in SERIES_MEASURES])
+    stack = stack.reshape(-1, len(times)).T
+
+    def chunks():
+        yield CSV_HEADER + "\n"
+        for lo in range(0, len(times), _CSV_CHUNK):
+            rows = zip(times[lo:lo + _CSV_CHUNK].tolist(), stack[lo:lo + _CSV_CHUNK].tolist())
+            yield "".join(("%.12g" % t).join(segments) % tuple(row) for t, row in rows)
+
+    _atomic_write(Path(path), chunks())
     return Path(path)
 
 
@@ -420,7 +428,8 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
                     continue
                 color, shape = style.get(meas, ("#208020", "circle"))
                 if vals.size >= 2:
-                    d = "M " + " L ".join(f"{sx(t):.2f} {sy(v):.2f}" for t, v in zip(src_times, vals))
+                    xy = np.column_stack((sx(src_times), sy(vals))).ravel().tolist()
+                    d = "M " + " L ".join(["%.2f %.2f"] * vals.size) % tuple(xy)
                     out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
                 stride = max(1, vals.size // 24)
                 for t, v in zip(src_times[::stride], vals[::stride]):

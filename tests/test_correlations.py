@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinboson import correlations
 from spinboson.correlations import (
     _OFF_X,
     MeasurementAxis,
@@ -614,6 +616,28 @@ class TestBatchComposition:
         for k in range(3):
             assert np.array_equal(reverse[k][::-1], batch[k])
             assert np.array_equal(np.concatenate([a[k] for a in alone]), batch[k])
+
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_theta_bands_match_one_mesh_scan(self, side, monkeypatch):
+        # at grid 256 a general state's 65,536-axis mesh is scanned in 16
+        # bands of theta; one scan of the whole mesh finds the same axes
+        rhos = general_states(np.random.default_rng(33), 6)
+        banded = classical_correlation_batch(rhos, side, 256, 1)
+        monkeypatch.setattr(correlations, "_SLICE_AXES", 2**20)
+        whole = classical_correlation_batch(rhos, side, 256, 1)
+        for k in range(3):
+            assert np.array_equal(banded[k], whole[k])
+
+    def test_memory_capped_at_max_grid(self):
+        rhos = general_states(np.random.default_rng(34), 2)
+        tracemalloc.start()
+        try:
+            classical_correlation_batch(rhos, "second", 256, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20  # 7.5 MiB when the mesh was one scan
 
 
 def bits(x):

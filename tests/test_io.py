@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from spinboson.cli import main
-from spinboson.experiments import run_sweep
+from spinboson.experiments import SERIES_MEASURES, SweepResult, run_sweep
 from spinboson.io import (
     CSV_HEADER,
     FIGURE_CONFIGS,
     MAX_GRID,
     MAX_REFINE_ITERS,
     MAX_TIME_STEPS,
+    _atomic_write,
     emit_csv,
     emit_svg_plot,
     figure_config,
@@ -334,6 +335,94 @@ class TestEmitSvg:
         a = emit_svg_plot(small_sweep, ("quantum", "classical"), tmp_path / "a.svg")
         b = emit_svg_plot(small_sweep, ("quantum", "classical"), tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
+
+
+# Per-number formatters the emitters replaced, kept as the byte reference.
+def reference_csv(result):
+    pairs = sorted({(part, pipe) for part, pipe, _ in result.values})
+    lines = [CSV_HEADER]
+    for i, t in enumerate(result.times()):
+        for part, pipe in pairs:
+            cells = [f"{result.series(part, pipe, m)[i]:.12g}" for m in SERIES_MEASURES]
+            side = result.side if pipe == "brute_force" else "second"
+            lines.append(",".join([f"{t:.12g}", part, pipe, *cells, side]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_paths(result, measures):
+    """The path data of every panel and measure, in emit_svg_plot's order."""
+    times = result.times()
+    tmin, span_t = float(times[0]), float(times[-1] - times[0]) or 1.0
+    paths = []
+    for i, part in enumerate(p for p in ("s1s2", "r1r2", "s1r1", "s1r2") if p in {k[0] for k in result.values}):
+        x0, y0 = (70, 510)[i % 2], (50, 370)[i // 2]
+        series = [result.series(part, result.main_pipeline(), m) for m in measures]
+        ymax = max(0.0, *(float(v.max()) for v in series), 1e-12) * 1.08
+
+        def sx(t):
+            return x0 + (t - tmin) / span_t * 380
+
+        def sy(v):
+            return y0 + 250 - v / ymax * 250
+
+        paths += ["M " + " L ".join(f"{sx(t):.2f} {sy(v):.2f}" for t, v in zip(times, vals)) for vals in series]
+    return paths
+
+
+# signed zero, the smallest subnormal, a tiny normal, an inexact sum, values
+# past 2^53 and with a half at the 13th digit, and values that round up at
+# the 12th digit, carrying into the next power of ten
+AWKWARD = np.array([
+    -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 123456789012.5, 0.1234567890125,
+    9.99999999999951e-05, 0.99999999999995, 2.0 / 3.0, 1.0,
+])
+
+
+def awkward_result(times, side="first"):
+    """A hand-built sweep of closed_form and brute_force rows, cycling AWKWARD through every series."""
+    keys = [("s1s2", "closed_form"), ("s1s2", "brute_force"), ("r1r2", "brute_force"), ("s1r2", "brute_force")]
+    values = {}
+    for j, (part, pipe) in enumerate(keys):
+        for k, m in enumerate(SERIES_MEASURES):
+            values[part, pipe, m] = np.resize(np.roll(AWKWARD, 3 * j + k), len(times))
+    sc = Scenario("two_exc", 0.6, 0.8, SpectralDensity("flat", gamma=1.0), np.asarray(times, dtype=float))
+    return SweepResult(sc, values, side)
+
+
+class TestEmitBytes:
+    """The batched emitters write the bytes of the per-number formatters."""
+
+    @pytest.mark.parametrize("times", [
+        # more than one streamed chunk of grid times, awkward times included
+        np.sort(np.concatenate([np.abs(AWKWARD[1:]), [0.0], np.linspace(2.0, 3.0, 1100)])),
+        [0.1 + 0.2],
+    ], ids=["chunks", "single_time"])
+    def test_csv_matches_reference(self, times, tmp_path):
+        res = awkward_result(times)
+        data = emit_csv(res, tmp_path / "out.csv").read_bytes()
+        assert data == reference_csv(res).encode()
+        assert b",first\n" in data and b"closed_form" in data
+
+    def test_svg_paths_match_reference(self, tmp_path):
+        times = np.sort(np.concatenate([np.abs(AWKWARD[1:]), [0.0], np.linspace(2.0, 3.0, 1100)]))
+        res = awkward_result(times)
+        text = emit_svg_plot(res, ("quantum", "classical"), tmp_path / "p.svg").read_text()
+        paths = [line.split('"')[1] for line in text.splitlines() if line.startswith("<path ")]
+        assert paths == reference_paths(res, ("quantum", "classical"))
+        assert len(paths) == 6
+
+    def test_interrupted_write_keeps_old_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield "x" * 200_000  # past the file buffer, so the temp file is written
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _atomic_write(target, chunks())
+        assert target.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestFigureConfigs:
