@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .correlations import SIDES
 from .experiments import (
     SQUARE_SUM_PARTITIONS,
     flat_classical_tail_audit,
@@ -33,7 +34,7 @@ _FLAGS = {
     "--out": ("out_dir", dict(metavar="DIR", help="output directory (overrides config)")),
     "--grid": ("grid", dict(type=int, metavar="N", help="optimiser mesh size (overrides config)")),
     "--refine": ("refine_iters", dict(type=int, metavar="N", help="refinement rounds (overrides config)")),
-    "--side": ("side", dict(choices=("first", "second"), help="measured side (overrides config)")),
+    "--side": ("side", dict(choices=SIDES, help="measured side (overrides config)")),
     "--pipeline": ("pipeline", dict(choices=tuple(PIPELINE_NAMES), help="pipeline (overrides config)")),
 }
 
@@ -49,7 +50,7 @@ def _overrides(args) -> dict:
 
 def _load_config(path: str, args) -> RunConfig:
     cfg = parse_config(Path(path).read_text())
-    # replace() validates the overrides as parse_config validates the file
+    # RunConfig checks every field, so replace() checks the overrides as parse_config checks the file
     return replace(cfg, **_overrides(args))
 
 
@@ -93,10 +94,9 @@ def _cmd_audit(args) -> int:
         beta2 = abs(cfg.beta) ** 2
         alpha2 = abs(cfg.alpha) ** 2
         outcomes.append(flat_classical_tail_audit(beta2, tail))
-        if cfg.family == "two_exc":
-            outcomes.append(reservoir_transfer_audit("two_exc", alpha2, beta2, [20.0]))
-        else:
-            outcomes.append(reservoir_transfer_audit("one_exc", alpha2, beta2, tail))
+        # the two_exc check holds only late, at gamma t >= 15
+        times = [20.0] if cfg.family == "two_exc" else tail
+        outcomes.append(reservoir_transfer_audit(cfg.family, alpha2, beta2, times))
 
     all_pass = True
     for a in outcomes:

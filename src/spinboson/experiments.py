@@ -109,6 +109,19 @@ def _closed_values(scenario: Scenario, partition: str, amps: np.ndarray):
     raise ValueError(f"closed-form pipeline does not cover partition {partition!r}")
 
 
+def check_partitions(partitions, caller: str) -> tuple:
+    """``partitions`` as a non-empty tuple of known, distinct names; errors begin with ``caller``."""
+    partitions = tuple(partitions)
+    for p in partitions:
+        if not isinstance(p, str) or p not in PARTITIONS:
+            raise ValueError(f"{caller}: unknown partition {p!r} in partitions")
+    if len(partitions) != len(set(partitions)):
+        raise ValueError(f"{caller}: partitions must be unique")
+    if not partitions:
+        raise ValueError(f"{caller}: partitions must not be empty")
+    return partitions
+
+
 def run_sweep(
     scenario: Scenario,
     partitions=PARTITION_ORDER,
@@ -127,10 +140,8 @@ def run_sweep(
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"run_sweep: pipeline must be one of {PIPELINES}")
-    partitions = tuple(partitions)
+    partitions = check_partitions(partitions, "run_sweep")
     for p in partitions:
-        if p not in PARTITIONS:
-            raise ValueError(f"run_sweep: unknown partition {p!r}")
         if pipeline == "closed_form" and p not in CLOSED_FORM_PARTITIONS:
             raise ValueError(
                 f"run_sweep: closed-form pipeline covers {CLOSED_FORM_PARTITIONS}, not {p!r}"

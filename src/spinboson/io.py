@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import SERIES_MEASURES, SweepResult, run_sweep
-from .model import PARTITION_ORDER, PARTITIONS, Scenario, SpectralDensity
+from .correlations import SIDES
+from .experiments import SERIES_MEASURES, SweepResult, check_partitions, run_sweep
+from .model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
 
 CSV_HEADER = "time,partition,pipeline,mutual_info,classical,quantum,concurrence,measured_side"
 
@@ -29,11 +29,11 @@ PIPELINE_NAMES = {"closed": "closed_form", "brute": "brute_force", "both": "both
 
 AUDIT_TOGGLES = ("agreement", "asymptotics", "square_sums")
 
-_TOP_KEYS = {
-    "family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral",
-    "time_start", "time_end", "time_steps", "partitions", "pipeline",
-    "out_dir", "grid", "refine_iters", "side", "svg", "audits",
-}
+# config keys that set the RunConfig field of the same name to their value
+_FIELD_KEYS = {"time_start", "time_end", "time_steps", "partitions", "pipeline", "out_dir", "grid",
+               "refine_iters", "side", "svg"}
+
+_TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral", "audits"}
 
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
@@ -47,9 +47,8 @@ MAX_GRID = 256
 MAX_REFINE_ITERS = 20
 
 
-def _number(doc: dict, field: str, default: float) -> float:
-    """``doc[field]`` as a finite float; bools, strings and NaN/Infinity are rejected."""
-    value = doc.get(field, default)
+def _number(value, field: str) -> float:
+    """``value`` as a finite float; bools, strings and NaN/Infinity are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config: {field} must be a number, got {value!r}")
     try:
@@ -77,7 +76,13 @@ def _count(value, field: str, lo: int, hi: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario + optimiser + output settings for one run."""
+    """Scenario + optimiser + output settings for one run.
+
+    Every field is checked on construction, so also by ``parse_config`` and
+    ``dataclasses.replace``; an error names the field.  Counts are integers
+    (101.0 counts) up to the ``MAX_*`` bounds.  Weights off unit norm by less
+    than 1e-6 are renormalised, anything further off is rejected.
+    """
 
     family: str
     alpha: complex
@@ -96,16 +101,70 @@ class RunConfig:
     audits: tuple = AUDIT_TOGGLES
 
     def __post_init__(self):
-        # runs again on dataclasses.replace, so CLI overrides are checked too
+        def put(field, value):
+            object.__setattr__(self, field, value)
+
         for field, lo, hi in (
             ("time_steps", 2, MAX_TIME_STEPS),
             ("grid", 2, MAX_GRID),
             ("refine_iters", 0, MAX_REFINE_ITERS),
         ):
-            object.__setattr__(self, field, _count(getattr(self, field), field, lo, hi))
+            put(field, _count(getattr(self, field), field, lo, hi))
+        for field, names in (("family", FAMILIES), ("pipeline", tuple(PIPELINE_NAMES)), ("side", SIDES)):
+            value = getattr(self, field)
+            if not isinstance(value, str) or value not in names:
+                raise ValueError(f"config: {field} must be one of {names}, got {value!r}")
+
+        if not all(isinstance(w, (int, float, complex)) for w in (self.alpha, self.beta)):
+            raise ValueError(f"config: alpha and beta must be numbers, got {self.alpha!r} and {self.beta!r}")
+        norm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
+        if not abs(norm - 1.0) < 1e-6:  # NaN fails too
+            raise ValueError(
+                f"config: alpha/beta norm is {norm!r}; |alpha|^2 + |beta|^2 must equal 1 within 1e-6"
+            )
+        # a renormalised pair is within rounding (a few 1e-16) of unit norm
+        # and is kept as it is, so renormalising is idempotent
+        scale = norm if abs(norm - 1.0) > 1e-14 else 1.0
+        put("alpha", complex(self.alpha) / scale)
+        put("beta", complex(self.beta) / scale)
+
+        put("time_start", _number(self.time_start, "time_start"))
+        put("time_end", _number(self.time_end, "time_end"))
+        if not self.time_end > self.time_start:
+            raise ValueError("config: time_end must exceed time_start")
+        if self.time_start < 0.0:
+            raise ValueError("config: time_start must be >= 0")
+        spectral, time_end = self.spectral, self.time_end
+        if not isinstance(spectral, SpectralDensity):
+            raise ValueError(f"config: spectral must be a SpectralDensity, got {spectral!r}")
+        # the evolution runs on rate * time (largest at time_end, as
+        # 0 <= time_start < time_end), and amplitudes_lorentz on W / lambda and
+        # the phase sqrt(4 (W / lambda)^2 - 1) * lambda * t
+        if not math.isfinite(spectral.rate * time_end):
+            rate = "gamma" if spectral.kind == "flat" else "lambda"
+            raise ValueError(f"config: spectral.{rate} * time_end is not finite")
+        if spectral.kind == "lorentz":
+            ratio = spectral.W / spectral.lam
+            if not math.isfinite(ratio) or ratio == 0.0:
+                raise ValueError(f"config: spectral W / lambda is {ratio!r}; must be finite and nonzero")
+            if not math.isfinite(math.sqrt(max(0.0, 4.0 * ratio * ratio - 1.0)) * spectral.lam * time_end):
+                raise ValueError("config: spectral W / lambda and time_end give a non-finite oscillation phase")
         # steps far below the spacing of floats at time_end round to zero
         if np.any(np.diff(self._time_grid()) <= 0.0):
             raise ValueError("config: time_start, time_end and time_steps give a time grid that does not increase")
+
+        for field in ("partitions", "audits"):
+            if not isinstance(getattr(self, field), (tuple, list)):
+                raise ValueError(f"config: {field} must be a list or tuple of names, got {getattr(self, field)!r}")
+        put("partitions", check_partitions(self.partitions, "config"))
+        if not isinstance(self.svg, bool):
+            raise ValueError("config: svg must be a boolean")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError("config: out_dir must be a string path")
+        unknown = set(self.audits) - set(AUDIT_TOGGLES)
+        if unknown:
+            raise ValueError(f"config: audits has unknown toggle {sorted(unknown)[0]!r}")
+        put("audits", tuple(name for name in AUDIT_TOGGLES if name in self.audits))
 
     def _time_grid(self) -> np.ndarray:
         return np.linspace(self.time_start, self.time_end, self.time_steps) * self.spectral.rate
@@ -132,14 +191,10 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+    """Read a JSON run configuration into a RunConfig, which checks the values.
 
-    Unknown keys are rejected by name; invariant violations name the field
-    and the constraint.  Numbers must be finite JSON numbers; ``time_steps``,
-    ``grid`` and ``refine_iters`` must be integers (an integral float such
-    as 101.0 is accepted) no larger than ``MAX_TIME_STEPS``, ``MAX_GRID``
-    and ``MAX_REFINE_ITERS``.  Weight amplitudes off unit norm by less than
-    1e-6 are renormalised, anything further off is rejected.
+    Unknown keys are rejected by name, and numbers must be finite JSON
+    numbers.  Keys left out take RunConfig's defaults.
     """
     try:
         doc = json.loads(text)
@@ -151,104 +206,42 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ValueError(f"config: unknown key {sorted(unknown)[0]!r}")
 
-    family = doc.get("family")
-    if family not in ("two_exc", "one_exc"):
-        raise ValueError(f"config: family must be 'two_exc' or 'one_exc', got {family!r}")
-
-    alpha = complex(_number(doc, "alpha_re", 0.0), _number(doc, "alpha_im", 0.0))
-    beta = complex(_number(doc, "beta_re", 0.0), _number(doc, "beta_im", 0.0))
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if abs(norm - 1.0) >= 1e-6:
-        raise ValueError(
-            f"config: alpha/beta norm is {norm!r}; |alpha|^2 + |beta|^2 must equal 1 within 1e-6"
-        )
-    alpha /= norm
-    beta /= norm
-
     spec_doc = doc.get("spectral")
     if not isinstance(spec_doc, dict):
         raise ValueError("config: spectral must be an object with a 'kind'")
     unknown = set(spec_doc) - _SPECTRAL_KEYS
     if unknown:
         raise ValueError(f"config: unknown spectral key {sorted(unknown)[0]!r}")
+    numbers = {key: _number(value, key) for key, value in spec_doc.items() if key != "kind"}
     kind = spec_doc.get("kind")
     if kind == "flat":
         if "W" in spec_doc or "lambda" in spec_doc:
             raise ValueError("config: flat spectral density takes only 'gamma'")
-        spectral = SpectralDensity(kind="flat", gamma=_number(spec_doc, "gamma", 0.0))
+        spectral = SpectralDensity(kind="flat", gamma=numbers.get("gamma", 0.0))
     elif kind == "lorentz":
         if "gamma" in spec_doc:
             raise ValueError("config: lorentz spectral density takes 'W' and 'lambda', not 'gamma'")
-        spectral = SpectralDensity(
-            kind="lorentz", W=_number(spec_doc, "W", 0.0), lam=_number(spec_doc, "lambda", 0.0)
-        )
+        spectral = SpectralDensity(kind="lorentz", W=numbers.get("W", 0.0), lam=numbers.get("lambda", 0.0))
     else:
         raise ValueError(f"config: spectral.kind must be 'flat' or 'lorentz', got {kind!r}")
 
-    time_start = _number(doc, "time_start", 0.0)
-    time_end = _number(doc, "time_end", 5.0)
-    if not time_end > time_start:
-        raise ValueError("config: time_end must exceed time_start")
-    if time_start < 0.0:
-        raise ValueError("config: time_start must be >= 0")
-    # the evolution runs on rate * time (largest at time_end, as
-    # 0 <= time_start < time_end), and amplitudes_lorentz on W / lambda and
-    # the phase sqrt(4 (W / lambda)^2 - 1) * lambda * t
-    if not math.isfinite(spectral.rate * time_end):
-        rate = "gamma" if kind == "flat" else "lambda"
-        raise ValueError(f"config: spectral.{rate} * time_end is not finite")
-    if kind == "lorentz":
-        ratio = spectral.W / spectral.lam
-        if not math.isfinite(ratio) or ratio == 0.0:
-            raise ValueError(f"config: spectral W / lambda is {ratio!r}; must be finite and nonzero")
-        if not math.isfinite(math.sqrt(max(0.0, 4.0 * ratio * ratio - 1.0)) * spectral.lam * time_end):
-            raise ValueError("config: spectral W / lambda and time_end give a non-finite oscillation phase")
-
-    partitions = doc.get("partitions", list(PARTITION_ORDER))
-    if not isinstance(partitions, list):
-        raise ValueError(f"config: partitions must be a list of partition names, got {partitions!r}")
-    partitions = tuple(partitions)
-    for p in partitions:
-        if not isinstance(p, str) or p not in PARTITIONS:
-            raise ValueError(f"config: unknown partition {p!r}")
-    if len(partitions) != len(set(partitions)):
-        raise ValueError("config: partitions must be unique")
-    if not partitions:
-        raise ValueError("config: partitions must not be empty")
-
-    pipeline = doc.get("pipeline", "both")
-    if not isinstance(pipeline, str) or pipeline not in PIPELINE_NAMES:
-        raise ValueError(f"config: pipeline must be one of {sorted(PIPELINE_NAMES)}, got {pipeline!r}")
-
-    side = doc.get("side", "second")
-    if side not in ("first", "second"):
-        raise ValueError(f"config: side must be 'first' or 'second', got {side!r}")
-
-    svg = doc.get("svg", False)
-    if not isinstance(svg, bool):
-        raise ValueError("config: svg must be a boolean")
-
-    audits_doc = doc.get("audits", {name: True for name in AUDIT_TOGGLES})
-    if not isinstance(audits_doc, dict):
+    toggles = doc.get("audits", {})
+    if not isinstance(toggles, dict):
         raise ValueError("config: audits must be an object of boolean toggles")
-    unknown = set(audits_doc) - set(AUDIT_TOGGLES)
-    if unknown:
-        raise ValueError(f"config: unknown audit toggle {sorted(unknown)[0]!r}")
-    for name, on in audits_doc.items():
+    for name, on in toggles.items():
         if not isinstance(on, bool):
             raise ValueError(f"config: audits.{name} must be a boolean, got {on!r}")
-    audits = tuple(name for name in AUDIT_TOGGLES if audits_doc.get(name, True))
-
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ValueError("config: out_dir must be a string path")
+    # RunConfig rejects an unknown toggle by name, whether it is on or off
+    audits = [name for name in AUDIT_TOGGLES if toggles.get(name, True)] + sorted(set(toggles) - set(AUDIT_TOGGLES))
+    weights = [_number(doc.get(key, 0.0), key) for key in ("alpha_re", "alpha_im", "beta_re", "beta_im")]
 
     return RunConfig(
-        family=family, alpha=alpha, beta=beta, spectral=spectral,
-        time_start=time_start, time_end=time_end, time_steps=doc.get("time_steps", 101),
-        partitions=partitions, pipeline=pipeline, out_dir=out_dir,
-        grid=doc.get("grid", 64), refine_iters=doc.get("refine_iters", 4),
-        side=side, svg=svg, audits=audits,
+        family=doc.get("family"),
+        alpha=complex(*weights[:2]),
+        beta=complex(*weights[2:]),
+        spectral=spectral,
+        audits=audits,
+        **{key: doc[key] for key in _FIELD_KEYS & set(doc)},
     )
 
 
@@ -281,7 +274,9 @@ def _atomic_write(path: Path, data) -> None:
     """Write a string, or an iterable of string chunks, to ``path`` via a temp file and ``os.replace``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # created like open() creates a file, so the umask sets the mode
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.writelines([data] if isinstance(data, str) else data)

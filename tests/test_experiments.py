@@ -128,6 +128,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="closed-form"):
             run_sweep(sc, ("s1r1",), "closed_form")
 
+    @pytest.mark.parametrize("pipeline", ["closed_form", "brute_force", "both"])
+    @pytest.mark.parametrize("partitions,message", [
+        # empty: numpy's "need at least one array to concatenate", or an empty result
+        ((), "partitions must not be empty"),
+        # repeated: computed twice and collapsed to one key
+        (("s1s2", "s1s2"), "partitions must be unique"),
+    ], ids=["empty", "repeated"])
+    def test_partitions_empty_or_repeated_rejected(self, pipeline, partitions, message):
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=f"run_sweep: {message}"):
+            run_sweep(sc, partitions, pipeline, grid=8, refine_iters=1)
+
     def test_worker_count_invariance(self):
         sc = Scenario("two_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 12))
         r1 = run_sweep(sc, ("s1s2", "s1r2"), "brute_force", grid=12, refine_iters=2, workers=1)

@@ -1,17 +1,26 @@
+import cmath
 import json
 import math
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboson.cli import main
+from spinboson.correlations import SIDES
 from spinboson.experiments import SERIES_MEASURES, SweepResult, run_sweep
 from spinboson.io import (
+    AUDIT_TOGGLES,
     CSV_HEADER,
     FIGURE_CONFIGS,
     MAX_GRID,
     MAX_REFINE_ITERS,
     MAX_TIME_STEPS,
+    PIPELINE_NAMES,
+    RunConfig,
     _atomic_write,
     emit_csv,
     emit_svg_plot,
@@ -19,7 +28,7 @@ from spinboson.io import (
     parse_config,
     serialize_config,
 )
-from spinboson.model import Scenario, SpectralDensity
+from spinboson.model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
 
 
 def h2(x):
@@ -258,6 +267,103 @@ class TestConfigHardening:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+# At least one invalid value per RunConfig field: a config-document
+# override, the same value as a field, and a pattern of the message.
+INVALID_FIELDS = [
+    ("family", {"family": "three_exc"}, "three_exc", "family must be one of"),
+    ("alpha", {"alpha_re": 2.0}, 2.0, "alpha/beta norm is"),
+    ("beta", {"beta_re": 0.1}, 0.1, "alpha/beta norm is"),
+    ("spectral", {"spectral": {"kind": "lorentz", "W": 1e300, "lambda": 1e-300}},
+     SpectralDensity("lorentz", W=1e300, lam=1e-300), "spectral W / lambda is inf"),
+    ("time_start", {"time_start": -1.0}, -1.0, "time_start must be >= 0"),
+    ("time_start", {"time_start": "0"}, "0", "time_start must be a number"),
+    ("time_end", {"time_end": 0.0}, 0.0, "time_end must exceed time_start"),
+    ("time_steps", {"time_steps": 1}, 1, "time_steps is 1; must be in"),
+    ("partitions", {"partitions": []}, (), "partitions must not be empty"),
+    ("partitions", {"partitions": ["s1s2", "s1s2"]}, ("s1s2", "s1s2"), "partitions must be unique"),
+    ("partitions", {"partitions": ["s1s9"]}, ("s1s9",), "unknown partition 's1s9' in partitions"),
+    ("partitions", {"partitions": "s1s2"}, "s1s2", "partitions must be a list or tuple"),
+    ("pipeline", {"pipeline": "fastest"}, "fastest", "pipeline must be one of"),
+    ("out_dir", {"out_dir": 5}, 5, "out_dir must be a string path"),
+    ("grid", {"grid": 1}, 1, "grid is 1; must be in"),
+    ("refine_iters", {"refine_iters": -1}, -1, "refine_iters is -1; must be in"),
+    ("side", {"side": "both"}, "both", "side must be one of"),
+    ("svg", {"svg": "yes"}, "yes", "svg must be a boolean"),
+    ("audits", {"audits": {"bogus": True}}, ("bogus",), "audits has unknown toggle 'bogus'"),
+    ("audits", {"audits": {"bogus": False}}, ("bogus",), "audits has unknown toggle 'bogus'"),
+    ("audits", {"audits": ["agreement"]}, "agreement", "audits must be a"),
+]
+
+
+class TestOneValidator:
+    """parse_config, RunConfig(...) and dataclasses.replace check fields alike."""
+
+    valid = parse_config(json.dumps(bell_doc()))
+
+    def builds(self, doc, **changes):
+        kwargs = {f.name: getattr(self.valid, f.name) for f in fields(RunConfig)}
+        return (
+            lambda: parse_config(json.dumps(bell_doc(**doc))),
+            lambda: RunConfig(**{**kwargs, **changes}),
+            lambda: replace(self.valid, **changes),
+        )
+
+    @pytest.mark.parametrize("field,doc,value,message", INVALID_FIELDS,
+                             ids=[json.dumps(case[1]) for case in INVALID_FIELDS])
+    def test_invalid_field_rejected_on_every_path(self, field, doc, value, message):
+        for build in self.builds(doc, **{field: value}):
+            with pytest.raises(ValueError, match=message) as exc:
+                build()
+            assert str(exc.value).startswith("config: ") and field in str(exc.value)
+
+    def test_cases_cover_every_field(self):
+        assert {case[0] for case in INVALID_FIELDS} == {f.name for f in fields(RunConfig)}
+
+    def test_time_order_checked_before_overflow(self):
+        # gamma * time_end = 1e300 is finite, but gamma * time_start is not:
+        # without the order check the grid would hold inf
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linspace(1e10, 1.0, 3) * 1e300).any()
+        doc = {"spectral": {"kind": "flat", "gamma": 1e300}, "time_start": 1e10, "time_end": 1.0}
+        changes = {"spectral": SpectralDensity("flat", gamma=1e300), "time_start": 1e10, "time_end": 1.0}
+        for build in self.builds(doc, **changes):
+            with pytest.raises(ValueError, match="time_end must exceed time_start"):
+                build()
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid RunConfig: both spectra and families, weights off unit norm by up to 9e-7."""
+    theta = draw(st.floats(0.0, math.pi / 2))
+    scale = 1.0 + draw(st.floats(-9e-7, 9e-7))
+    alpha = cmath.rect(math.cos(theta) * scale, draw(st.floats(-math.pi, math.pi)))
+    beta = cmath.rect(math.sin(theta) * scale, draw(st.floats(-math.pi, math.pi)))
+    if draw(st.booleans()):
+        spectral = SpectralDensity("flat", gamma=draw(st.floats(1e-3, 1e3)))
+    else:
+        spectral = SpectralDensity("lorentz", W=draw(st.floats(1e-2, 1e2)), lam=draw(st.floats(1e-3, 1e3)))
+    time_start = draw(st.floats(0.0, 10.0))
+    return RunConfig(
+        family=draw(st.sampled_from(FAMILIES)), alpha=alpha, beta=beta, spectral=spectral,
+        time_start=time_start, time_end=time_start + draw(st.floats(1e-3, 10.0)),
+        time_steps=draw(st.integers(2, 500)),
+        partitions=draw(st.lists(st.sampled_from(PARTITION_ORDER), min_size=1, unique=True)),
+        pipeline=draw(st.sampled_from(tuple(PIPELINE_NAMES))), side=draw(st.sampled_from(SIDES)),
+        out_dir=draw(st.none() | st.just("results")), svg=draw(st.booleans()),
+        grid=draw(st.integers(2, MAX_GRID)), refine_iters=draw(st.integers(0, MAX_REFINE_ITERS)),
+        audits=draw(st.lists(st.sampled_from(AUDIT_TOGGLES), unique=True)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(valid_configs())
+def test_checking_a_valid_config_again_changes_nothing(cfg):
+    # RunConfig renormalises the weights once; doing it again must be a no-op
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert replace(cfg) == cfg
+    assert abs(abs(cfg.alpha) ** 2 + abs(cfg.beta) ** 2 - 1.0) < 1e-13
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     cfg = parse_config(json.dumps(bell_doc()))
@@ -410,6 +516,16 @@ class TestEmitBytes:
         paths = [line.split('"')[1] for line in text.splitlines() if line.startswith("<path ")]
         assert paths == reference_paths(res, ("quantum", "classical"))
         assert len(paths) == 6
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        # the temp file used to be made by mkstemp, so every output was 0600
+        old = os.umask(umask)
+        try:
+            path = emit_csv(awkward_result([0.0, 1.0]), tmp_path / "out.csv")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
 
     def test_interrupted_write_keeps_old_file(self, tmp_path):
         target = tmp_path / "out.csv"
