@@ -107,8 +107,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    overrides = _overrides(args)
-    for path in emit_figures(Path(overrides.pop("out_dir", ".")), **overrides):
+    # --out is emit_figures' out_dir; --grid and --refine override figure config fields
+    for path in emit_figures(**{"out_dir": ".", **_overrides(args)}):
         print(path)
     return 0
 

@@ -154,11 +154,11 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     vector (a +- T n) / (2 p+-) with probability p+- = (1 +- b.n)/2 (Luo,
     PRA 77, 042303 (2008)), so C is the maximum over n of S(A) - sum_+- p+-
     H((1 + |a +- T n| / (2 p+-)) / 2) (Girolami & Adesso, PRA 83, 052108
-    (2011)).  n and -n are the same measurement, so the first mesh, ``grid``
-    x ``grid`` axes, covers the upper hemisphere.  Each of the
+    (2011)).  n and -n are the same measurement, so the first box, a
+    ``grid`` x ``grid`` mesh, covers the upper hemisphere.  Each of the
     ``refine_iters`` rounds then shrinks the box eight-fold in three
     halving steps, each scanning ``_BOX`` x ``_BOX`` axes centred on the
-    best axis so far; the first box spans 1/8 of the mesh.  (theta, phi) ->
+    best axis so far; the second box spans 1/8 of the mesh.  (theta, phi) ->
     n is smooth and periodic, so the boxes need no clipping; n(-theta, phi)
     = n(theta, phi + pi) normalises the returned axis.
 
@@ -184,15 +184,16 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     a2 = np.einsum("ni,ni->n", a, a)
     s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
     g = np.einsum("nki,nkj->nij", t, t)
-    best_v, best_t = np.full(n, -np.inf), np.zeros(n)
-    # X states scan one azimuth column, the closed-form one; the others
-    # start from phi = 0
+    # the first box, the mesh, is centred on the middle of the hemisphere; X
+    # states scan one azimuth column, the closed-form one
+    span_t = 0.5 * np.pi
+    best_v, best_t = np.full(n, -np.inf), np.full(n, span_t / 2.0)
     if x_states:
         best_p = np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)
         span_p, cols = 0.0, 1
     else:
-        best_p = np.zeros(n)
         span_p, cols = 2.0 * np.pi * (grid - 1) / grid, None
+        best_p = np.full(n, span_p / 2.0)
     # trailing axes span the scan
     bs, gs, at2 = b[..., None, None], g[..., None, None], 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
 
@@ -223,23 +224,19 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
         size = max(1, _SLICE_AXES // axes)
         return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    frac = np.linspace(0.0, 1.0, grid)
-    span_t = 0.5 * np.pi
-    # above grid 64 a state's mesh is scanned in theta bands, in order: the first maximum still wins
-    band = max(1, _SLICE_AXES // len(frac[:cols]))
-    for sel in slices(grid * len(frac[:cols])):
-        ph = best_p[sel, None] + span_p * frac[:cols]
-        for lo in range(0, grid, band):
-            scan(sel, np.tile(span_t * frac[lo:lo + band], (sel.stop - sel.start, 1)), ph)
-
     # a box of width w has steps of w / (_BOX - 1), so the next, of width w / 2
-    # around the best point, reaches (_BOX - 1) / 4 steps past it either way
-    frac = np.linspace(0.0, 1.0, _BOX)
-    for step in range(3, 3 * refine_iters + 3):
-        box_t, box_p = span_t / 2**step, span_p / 2**step
-        for sel in slices(_BOX * len(frac[:cols])):
-            scan(sel, best_t[sel, None] - box_t / 2.0 + box_t * frac,
-                 best_p[sel, None] - box_p / 2.0 + box_p * frac[:cols])
+    # around the best point, reaches (_BOX - 1) / 4 steps past it either way;
+    # the scales are exact powers of two, and on the mesh best - w / 2 is 0
+    for points, scale in [(grid, 1.0)] + [(_BOX, 2.0**-step) for step in range(3, 3 * refine_iters + 3)]:
+        frac = np.linspace(0.0, 1.0, points)
+        w_t, w_p = span_t * scale, span_p * scale
+        # above grid 64 a state's mesh is scanned in theta bands, in order: the first maximum still wins
+        band = max(1, _SLICE_AXES // len(frac[:cols]))
+        for sel in slices(points * len(frac[:cols])):
+            th = best_t[sel, None] - w_t / 2.0 + w_t * frac
+            ph = best_p[sel, None] - w_p / 2.0 + w_p * frac[:cols]
+            for lo in range(0, points, band):
+                scan(sel, th[:, lo:lo + band], ph)
 
     st = np.sin(best_t)
     axis = np.stack([st * np.cos(best_p), st * np.sin(best_p), np.cos(best_t)], axis=1)
@@ -292,19 +289,23 @@ def discord(
     grid: int = 64,
     refine_iters: int = 4,
 ) -> float:
-    """Quantum correlation Q = I - C via the brute-force optimiser, in bits.
-
-    Optimiser slack can leave values a hair below zero; anything in
-    [-1e-8, 0) is reported as 0.
-    """
+    """Quantum correlation Q = I - C via the brute-force optimiser, in bits (see ``discord_from``)."""
     rho, _ = require_state(rho, "discord", 4)
     c, _ = classical_correlation_bruteforce(rho, side, grid, refine_iters)
-    q = float(mutual_information_batch(rho[None])[0]) - c
-    if q < 0.0:
-        if q < _DISCORD_CLAMP:
-            raise ValueError(f"discord: negative value {q:.3e} beyond clamp")
-        q = 0.0
-    return q
+    return float(discord_from(mutual_information_batch(rho[None]), c)[0])
+
+
+def discord_from(info, classical) -> np.ndarray:
+    """Q = I - C from arrays of I and optimiser C, in bits.
+
+    Optimiser slack can leave values a hair below zero; anything in
+    [-1e-8, 0) is reported as 0, and anything below raises.
+    """
+    q = np.asarray(info) - classical
+    if np.any(q < _DISCORD_CLAMP):
+        raise ValueError(f"discord: negative value {np.nanmin(q):.3e} beyond clamp")
+    # not np.maximum, which can keep -0.0
+    return np.where(q > 0.0, q, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .correlations import (
     concurrence_batch,
     concurrence_closed,
     concurrence_closed_reservoirs,
+    discord_from,
     mutual_information_batch,
     quantum_correlation_spins_one_exc,
     reservoir_correlations_one_exc,
@@ -162,7 +163,7 @@ def run_sweep(
             rhos = np.concatenate([reduced_batch(states[lo:hi], part) for part in partitions])
             cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
             info = mutual_information_batch(rhos)
-            qvals = np.where(info - cvals > 0.0, info - cvals, 0.0)
+            qvals = discord_from(info, cvals)
             measures = np.stack([info, cvals, qvals, concurrence_batch(rhos)]).reshape(4, len(partitions), -1)
             for i, part in enumerate(partitions):
                 out[part, "brute_force"] = tuple(measures[:, i])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -441,25 +441,19 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
 
 _BELL = (2.0 ** -0.5, 2.0 ** -0.5)
 _LOPSIDED = (10.0 ** -0.5, 3.0 * 10.0 ** -0.5)
-_RATIO = math.sqrt(200.0)
+
+_FLAT = SpectralDensity("flat", gamma=1.0)
+_LORENTZ = SpectralDensity("lorentz", W=math.sqrt(200.0), lam=1.0)  # strong coupling: damped oscillations
 
 FIGURE_CONFIGS = {
-    "flat_two_excitation": {
-        "family": "two_exc", "spectral": {"kind": "flat", "gamma": 1.0},
-        "time_end": 5.0,
-    },
-    "lorentz_two_excitation": {
-        "family": "two_exc", "spectral": {"kind": "lorentz", "W": _RATIO, "lambda": 1.0},
-        "time_end": 2.0,
-    },
-    "flat_one_excitation": {
-        "family": "one_exc", "spectral": {"kind": "flat", "gamma": 1.0},
-        "time_end": 5.0,
-    },
-    "lorentz_one_excitation": {
-        "family": "one_exc", "spectral": {"kind": "lorentz", "W": _RATIO, "lambda": 1.0},
-        "time_end": 2.0,
-    },
+    name: RunConfig(family=family, alpha=_BELL[0], beta=_BELL[1], spectral=spectral, time_end=time_end,
+                    time_steps=81, partitions=_PANEL_PARTITIONS, grid=32, refine_iters=3)
+    for name, family, spectral, time_end in (
+        ("flat_two_excitation", "two_exc", _FLAT, 5.0),
+        ("lorentz_two_excitation", "two_exc", _LORENTZ, 2.0),
+        ("flat_one_excitation", "one_exc", _FLAT, 5.0),
+        ("lorentz_one_excitation", "one_exc", _LORENTZ, 2.0),
+    )
 }
 
 
@@ -468,24 +462,12 @@ def figure_config(name: str, weights: tuple[float, float] = _BELL, **overrides) 
 
     ``weights`` selects the initial amplitudes: the Bell pair by default,
     or the lopsided (1/sqrt(10), 3/sqrt(10)) pair used for the second
-    curve family of every reference figure.
+    curve family of every reference figure.  ``overrides`` are RunConfig
+    field names, checked as ``dataclasses.replace`` checks them.
     """
     if name not in FIGURE_CONFIGS:
         raise ValueError(f"figure_config: unknown figure {name!r}")
-    base = FIGURE_CONFIGS[name]
-    doc = {
-        "family": base["family"],
-        "alpha_re": weights[0], "beta_re": weights[1],
-        "spectral": dict(base["spectral"]),
-        "time_start": 0.0, "time_end": base["time_end"],
-        "time_steps": overrides.pop("time_steps", 81),
-        "partitions": list(_PANEL_PARTITIONS),
-        "pipeline": "both",
-        "grid": overrides.pop("grid", 32),
-        "refine_iters": overrides.pop("refine_iters", 3),
-    }
-    doc.update(overrides)
-    return parse_config(json.dumps(doc))
+    return replace(FIGURE_CONFIGS[name], alpha=weights[0], beta=weights[1], **overrides)
 
 
 def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
@@ -499,7 +481,7 @@ def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
     paths: list[Path] = []
     for name in FIGURE_CONFIGS:
         res, res_overlay = (
-            run_sweep(**figure_config(name, weights, **dict(overrides)).sweep_args(), workers=workers)
+            run_sweep(**figure_config(name, weights, **overrides).sweep_args(), workers=workers)
             for weights in (_BELL, _LOPSIDED)
         )
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))

@@ -18,6 +18,7 @@ from spinboson.correlations import (
     concurrence_closed_reservoirs,
     concurrence_wootters,
     discord,
+    discord_from,
     mutual_information,
     mutual_information_batch,
     quantum_correlation_spins_one_exc,
@@ -161,6 +162,13 @@ class TestDiscord:
         q = discord(rho, grid=64, refine_iters=4)
         expected = -h2(0.5) + h2(0.1 * 0.5) + h2(0.5 * (1.0 + math.sqrt(1.0 - 4.0 * 0.9 * 0.25)))
         assert abs(q - expected) < 1e-6
+
+    def test_discord_from_floors_slack_and_raises_below_it(self):
+        q = discord_from(np.array([1.0, 0.5, 0.5, -0.0]), np.array([0.5, 0.5, 0.5 + 5e-9, 0.0]))
+        assert q.tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert not np.signbit(q).any()  # no -0.0, which prints as -0
+        with pytest.raises(ValueError, match="discord: negative value -2.000e-08"):
+            discord_from(np.array([0.5, 0.5]), np.array([0.5, 0.5 + 2e-8]))
 
 
 class TestClosedForms:

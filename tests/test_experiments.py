@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinboson import experiments
 from spinboson.correlations import concurrence_wootters, quantum_correlation_spins_two_exc
 from spinboson.experiments import (
     SERIES_MEASURES,
@@ -122,6 +123,19 @@ class TestRunSweep:
         t += 1.0
         assert res.series("s1s2", "closed_form", "quantum").tolist() == before
         assert res.times().tolist() == sc.time_grid.tolist() == [0.0, 0.7, 1.9]
+
+    def test_optimiser_overshoot_raises_as_discord_does(self, monkeypatch):
+        # a C above I on a mixed pair used to be floored to Q = 0 silently
+        real = experiments.classical_correlation_batch
+
+        def overshoot(*args):
+            c, thetas, phis = real(*args)
+            return c + 1e-6, thetas, phis
+
+        monkeypatch.setattr(experiments, "classical_correlation_batch", overshoot)
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
+        with pytest.raises(ValueError, match="discord"):
+            run_sweep(sc, ("s1r2",), "brute_force", grid=8, refine_iters=1)
 
     def test_closed_form_rejected_off_diagonal_pairs(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))

@@ -544,7 +544,7 @@ class TestEmitBytes:
 class TestFigureConfigs:
     def test_four_reference_scenarios(self):
         assert len(FIGURE_CONFIGS) == 4
-        kinds = {(c["family"], c["spectral"]["kind"]) for c in FIGURE_CONFIGS.values()}
+        kinds = {(c.family, c.spectral.kind) for c in FIGURE_CONFIGS.values()}
         assert kinds == {
             ("two_exc", "flat"), ("two_exc", "lorentz"),
             ("one_exc", "flat"), ("one_exc", "lorentz"),
@@ -560,6 +560,17 @@ class TestFigureConfigs:
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="figure"):
             figure_config("flat_three_excitation")
+
+    @pytest.mark.parametrize("name", list(FIGURE_CONFIGS))
+    def test_overrides_are_runconfig_fields(self, name):
+        assert figure_config(name, time_steps=801, grid=16) == replace(figure_config(name), time_steps=801, grid=16)
+
+    def test_overrides_are_checked(self):
+        with pytest.raises(ValueError, match="grid"):
+            figure_config("flat_two_excitation", grid=0)
+        # replace() rejects a name that is not a RunConfig field
+        with pytest.raises(TypeError, match="gird"):
+            figure_config("flat_two_excitation", gird=16)
 
 
 class TestCli:
