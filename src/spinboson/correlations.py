@@ -10,10 +10,11 @@ quantum correlation (discord) Q:
 
 The optimiser works on the real Bloch form of the state: a deterministic
 mesh scan over (polar, azimuth) on the upper hemisphere, then local
-refinement.  X states, whose eight entries off the diagonal and the
-anti-diagonal are exactly zero (every partition of both families is one
-at every time), scan a single azimuth, which follows in closed form from
-the state's correlation matrix.  The test is for exact zeros, so a state
+refinement in the tangent plane at the mesh's best local maxima.  X
+states, whose eight entries off the diagonal and the anti-diagonal are
+exactly zero (every partition of both families is one at every time),
+scan a single azimuth, which follows in closed form from the state's
+correlation matrix.  The test is for exact zeros, so a state
 with round-off in those entries scans every azimuth.
 
 The measurement class is restricted to rank-1 projective measurements.
@@ -70,10 +71,12 @@ _DISCORD_CLAMP = -1e-8
 # README sweep's 606 X states (12 against 16 ms), and beat 2^11 in every call.
 _SLICE_AXES = 2**12
 
-# Points per side of each refinement box (in theta only for X states): on
-# panel seeds 0-10 at grid 64, 4 rounds, 9 falls at most 4.3e-10 bits short
-# of the benchmark's reference, 13 at most 1.8e-10 for 1.35x the time.
-_BOX = 9
+# The refinement of a general state starts from the best _STARTS distinct local
+# maxima of its first mesh, in boxes of _BOX x _BOX axes (_BOX x 1 for X states).
+# On panel seeds 0-10, both sides, grid 64 and 4 rounds, 5 falls at most 7.9e-13
+# bits short of the benchmark's reference, 7 at most 3.8e-13 for 1.1x the time,
+# and 3 up to 1.6e-6.
+_BOX, _STARTS = 5, 2
 
 SIDES = ("first", "second")
 
@@ -114,18 +117,17 @@ def classical_correlation_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
-    Scans a ``grid`` x ``grid`` mesh over the upper hemisphere, polar angle
-    theta in [0, pi/2] and azimuth phi in [0, 2 pi), and refines around the
-    best axis ``refine_iters`` times, each round shrinking the box
-    eight-fold in three halving steps of 9 x 9 axes: grid^2 + 243
-    ``refine_iters`` axes in all.  The box is not clipped, so it may cross
-    the pole or phi = 2 pi.  States whose eight entries off the diagonal
-    and the anti-diagonal are exactly zero (X states) scan one azimuth,
-    known in closed form, in every box: grid + 27 ``refine_iters`` axes.
-    The search is deterministic and each state's result is independent of
-    its batch.  Each scan covers as many states as fit in ``_SLICE_AXES``
-    measurement axes, and at least one; above grid 64 a general state's
-    first mesh is scanned in bands of theta that fit.
+    Scans a (grid / 2) x (grid / 2) mesh of the upper hemisphere, polar
+    angle theta in [0, pi/2] and azimuth phi in [0, 2 pi), then refines its
+    best ``_STARTS`` distinct local maxima in ``refine_iters`` rounds of
+    four halving 5 x 5 boxes in the tangent plane: (grid / 2)^2 + 200
+    ``refine_iters`` axes.  States whose eight entries off the diagonal and
+    the anti-diagonal are exactly zero (X states) scan ``grid`` polar angles
+    at one azimuth, known in closed form, and refine their best in 5 x 1
+    boxes: grid + 20 ``refine_iters`` axes.  The search is deterministic and
+    each state's result is independent of its batch: each scan covers as
+    many states as fit in ``_SLICE_AXES`` axes, or one state's band of
+    theta rows.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -135,14 +137,12 @@ def classical_correlation_batch(
     if grid < 2 or refine_iters < 0:
         raise ValueError("classical_correlation: grid must be >= 2 and refine_iters >= 0")
     rhos = np.asarray(rhos, dtype=complex)
-    n = rhos.shape[0]
-    values = np.empty(n)
-    thetas = np.empty(n)
-    phis = np.empty(n)
+    values, thetas, phis = np.empty((3, len(rhos)))
     is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
     for x_states in (True, False):
         rows = np.flatnonzero(is_x == x_states)
-        values[rows], thetas[rows], phis[rows] = _cc_mesh(rhos[rows], side, grid, refine_iters, x_states)
+        if rows.size:
+            values[rows], thetas[rows], phis[rows] = _cc_mesh(rhos[rows], side, grid, refine_iters, x_states)
     return values, thetas, phis
 
 
@@ -154,26 +154,22 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     vector (a +- T n) / (2 p+-) with probability p+- = (1 +- b.n)/2 (Luo,
     PRA 77, 042303 (2008)), so C is the maximum over n of S(A) - sum_+- p+-
     H((1 + |a +- T n| / (2 p+-)) / 2) (Girolami & Adesso, PRA 83, 052108
-    (2011)).  n and -n are the same measurement, so the first box, a
-    ``grid`` x ``grid`` mesh, covers the upper hemisphere.  Each of the
-    ``refine_iters`` rounds then shrinks the box eight-fold in three
-    halving steps, each scanning ``_BOX`` x ``_BOX`` axes centred on the
-    best axis so far; the second box spans 1/8 of the mesh.  (theta, phi) ->
-    n is smooth and periodic, so the boxes need no clipping; n(-theta, phi)
-    = n(theta, phi + pi) normalises the returned axis.
+    (2011)).  n and -n are the same measurement, so the mesh covers the
+    upper hemisphere.  A box is a grid of (u, w) in the chart n = (n0 + u e1
+    + w e2) / sqrt(1 + u^2 + w^2) at a start n0, with (e1, e2) the (theta,
+    phi) frame of n0, centred on the best (u, w) so far.
 
     With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
     is block diagonal, so p+- does not depend on phi and the best phi
     maximises n.G n for every theta, with G = T^T T.  That phi, along the
-    top eigenvector of G's xy block, is the only azimuth scanned (Chen et
-    al., PRA 84, 042313 (2011)), and the boxes have azimuthal width 0.
+    top eigenvector of G's xy block, is the only azimuth of the mesh (Chen
+    et al., PRA 84, 042313 (2011)), and the boxes have width 0 in w.
 
-    Each scan is an outer product of polar angles and azimuths, and so is
-    every term: v.n = sin theta (v_x cos phi + v_y sin phi) + v_z cos theta,
-    and |a +- T n|^2 = |a|^2 + n.G n +- 2 (a^T T).n, clamped at 0 against
-    round-off before the square root.  Near an empty branch that expansion
-    loses digits, so the winning axis is scored once more with |a +- T n|
-    computed directly, and that value is returned.
+    Every scan is an outer product, and so is every term: v.n on the mesh is
+    sin theta (v_x cos phi + v_y sin phi) + v_z cos theta, and |a +- T n|^2 =
+    |a|^2 + n.G n +- 2 (a^T T).n, clamped at 0 against round-off before the
+    square root.  Near an empty branch that expansion loses digits, so the
+    winning axis is scored once more with |a +- T n| computed directly.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
@@ -184,68 +180,87 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     a2 = np.einsum("ni,ni->n", a, a)
     s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
     g = np.einsum("nki,nkj->nij", t, t)
-    # the first box, the mesh, is centred on the middle of the hemisphere; X
-    # states scan one azimuth column, the closed-form one
-    span_t = 0.5 * np.pi
-    best_v, best_t = np.full(n, -np.inf), np.full(n, span_t / 2.0)
-    if x_states:
-        best_p = np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)
-        span_p, cols = 0.0, 1
-    else:
-        span_p, cols = 2.0 * np.pi * (grid - 1) / grid, None
-        best_p = np.full(n, span_p / 2.0)
-    # trailing axes span the scan
-    bs, gs, at2 = b[..., None, None], g[..., None, None], 2.0 * np.einsum("ni,nij->nj", a, t)[..., None, None]
+    at2 = 2.0 * np.einsum("ni,nij->nj", a, t)
 
-    def scan(sel, th, ph):
-        """Score the outer product of th (k, mt) and ph (k, mp) for states sel."""
-        mp = ph.shape[1]
-        st, ct = np.sin(th)[:, :, None], np.cos(th)[:, :, None]
-        cp, sp = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
-        gk = gs[sel]
-        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bs[sel], at2[sel]))
-        # |a|^2 + n.G n, the part of |a +- T n|^2 even in the sign
-        even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
-            st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
+    def score(sel, bn, an2, even):
+        """The objective from b.n, 2 (a^T T).n and |a|^2 + n.G n for states sel."""
         lengths = (np.sqrt(np.maximum(even + an2, 0.0)), np.sqrt(np.maximum(even - an2, 0.0)))
-        val = _objective(s_est[sel, None, None], bn, lengths).reshape(len(th), -1)
-
-        # ties keep the first maximum, in scan order and then round order
-        idx = np.argmax(val, axis=1)
-        rows = np.arange(len(idx))
-        cand_v = val[rows, idx]
-        better = cand_v > best_v[sel]
-        best_v[sel] = np.where(better, cand_v, best_v[sel])
-        best_t[sel] = np.where(better, th[rows, idx // mp], best_t[sel])
-        best_p[sel] = np.where(better, ph[rows, idx % mp], best_p[sel])
+        return _objective(s_est[sel].reshape((-1,) + (1,) * (bn.ndim - 1)), bn, lengths)
 
     def slices(axes):
         """Slices of the states, as many per slice as fit in _SLICE_AXES axes."""
         size = max(1, _SLICE_AXES // axes)
         return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    # a box of width w has steps of w / (_BOX - 1), so the next, of width w / 2
-    # around the best point, reaches (_BOX - 1) / 4 steps past it either way;
-    # the scales are exact powers of two, and on the mesh best - w / 2 is 0
-    for points, scale in [(grid, 1.0)] + [(_BOX, 2.0**-step) for step in range(3, 3 * refine_iters + 3)]:
-        frac = np.linspace(0.0, 1.0, points)
-        w_t, w_p = span_t * scale, span_p * scale
-        # above grid 64 a state's mesh is scanned in theta bands, in order: the first maximum still wins
-        band = max(1, _SLICE_AXES // len(frac[:cols]))
-        for sel in slices(points * len(frac[:cols])):
-            th = best_t[sel, None] - w_t / 2.0 + w_t * frac
-            ph = best_p[sel, None] - w_p / 2.0 + w_p * frac[:cols]
-            for lo in range(0, points, band):
-                scan(sel, th[:, lo:lo + band], ph)
+    rows, starts = (grid, 1) if x_states else (max(2, grid // 2), _STARTS)
+    theta = np.linspace(0.0, 0.5 * np.pi, rows)
+    phi = (np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)[:, None] if x_states
+           else np.broadcast_to(np.arange(rows) * (2.0 * np.pi / rows), (n, rows)))
+    cols = phi.shape[1]
+    # the pole, and each antipodal pair on the equator, is one start at most
+    distinct = np.ones((rows, cols), dtype=bool)
+    distinct[0, 1:] = distinct[-1, (cols + 1) // 2:] = False
+    start_v, start_i = np.full((n, starts), -np.inf), np.zeros((n, starts), dtype=int)
+    # above grid 128 a state's mesh is scanned in theta bands, each with the rows either side
+    band = max(1, _SLICE_AXES // cols)
+    for sel in slices(rows * cols):
+        cp, sp = np.cos(phi[sel])[:, None, :], np.sin(phi[sel])[:, None, :]
+        gk, bk, ak = g[sel, ..., None, None], b[sel, :, None, None], at2[sel, :, None, None]
+        for lo in range(0, rows, band):
+            hi = min(lo + band, rows)
+            th = theta[max(lo - 1, 0):hi + 1]
+            st, ct = np.sin(th)[:, None], np.cos(th)[:, None]
+            bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bk, ak))
+            even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
+                st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
+            val = score(sel, bn, an2, even)
+            # the rows past the pole and the equator are rows 1 and rows - 2 turned by pi
+            turned = [np.roll(val[:, j:j + 1], cols // 2, axis=2) for j in (1, -2)]
+            val = np.concatenate(turned[:1] * (lo == 0) + [val] + turned[1:] * (hi == rows), axis=1)
+            # a local maximum is at least its eight neighbours
+            near = np.maximum(np.maximum(val, np.roll(val, 1, axis=2)), np.roll(val, -1, axis=2))
+            peak = (val[:, 1:-1] >= np.maximum(np.maximum(near[:, :-2], near[:, 1:-1]), near[:, 2:])) & distinct[lo:hi]
+            # the starts so far come first, so ties keep the first in scan order
+            cand_v = np.concatenate([start_v[sel], np.where(peak, val[:, 1:-1], -np.inf).reshape(len(val), -1)], axis=1)
+            top = np.argsort(-cand_v, axis=1, kind="stable")[:, :starts]
+            start_v[sel] = np.take_along_axis(cand_v, top, axis=1)
+            start_i[sel] = np.where(top < starts, np.take_along_axis(start_i[sel], top % starts, axis=1), lo * cols + top - starts)
 
-    st = np.sin(best_t)
-    axis = np.stack([st * np.cos(best_p), st * np.sin(best_p), np.cos(best_t)], axis=1)
+    t0, p0 = theta[start_i // cols], np.take_along_axis(phi, start_i % cols, axis=1)
+    (st, ct), (sp, cp) = (np.sin(t0), np.cos(t0)), (np.sin(p0), np.cos(p0))
+    # n0, e1 and e2 of each start, along axis 2
+    frame = np.stack([np.stack(v, axis=-1) for v in (
+        (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=2)
+    bf, af = (np.einsum("ni,nski->nsk", v, frame) for v in (b, at2))
+    gf = np.einsum("nski,nsli->nskl", frame, np.einsum("nij,nslj->nsli", g, frame))
+    uw = np.zeros((n, starts, 2))
+    u_box = np.linspace(-1.0, 1.0, _BOX)
+    w_box = u_box[_BOX // 2:_BOX // 2 + 1] if x_states else u_box
+    for sel in slices(starts * _BOX * len(w_box)):
+        bk, ak, q = bf[sel, :, :, None, None], af[sel, :, :, None, None], gf[sel, :, :, :, None, None]
+        for step in range(4 * refine_iters):
+            # 2 polar mesh steps, halved in each box; the scales are exact powers of two
+            reach = np.pi / (rows - 1) * 0.5**step
+            u, w = uw[sel, :, 0, None, None] + reach * u_box[:, None], uw[sel, :, 1, None, None] + reach * w_box
+            norm2 = 1.0 + u * u + w * w
+            bn, an2 = ((v[:, :, 0] + u * v[:, :, 1] + w * v[:, :, 2]) / np.sqrt(norm2) for v in (bk, ak))
+            ngn = q[:, :, 0, 0] + u * u * q[:, :, 1, 1] + w * w * q[:, :, 2, 2] + 2.0 * (
+                u * q[:, :, 0, 1] + w * q[:, :, 0, 2] + u * w * q[:, :, 1, 2])
+            val = score(sel, bn, an2, a2[sel, None, None, None] + ngn / norm2).reshape(bn.shape[:2] + (-1,))
+            # ties keep the first maximum, in scan order and then box order
+            j, better = np.argmax(val, axis=2), val.max(axis=2) > start_v[sel]
+            start_v[sel] = np.maximum(start_v[sel], val.max(axis=2))
+            uw[sel] += np.where(better[..., None], reach * np.stack([u_box[j // len(w_box)], w_box[j % len(w_box)]], -1), 0.0)
+
+    axes = (frame[:, :, 0] + uw[..., :1] * frame[:, :, 1] + uw[..., 1:] * frame[:, :, 2]) / np.sqrt(
+        1.0 + np.sum(uw * uw, axis=2))[..., None]
+    axis = np.take_along_axis(axes, np.argmax(start_v, axis=1)[:, None, None], axis=1)[:, 0]
     tn = np.einsum("nij,nj->ni", t, axis)
     value = _objective(s_est, np.einsum("ni,ni->n", b, axis),
                        (np.linalg.norm(a + tn, axis=1), np.linalg.norm(a - tn, axis=1)))
-    phi = np.mod(best_p + np.where(best_t < 0.0, np.pi, 0.0), 2.0 * np.pi)
+    phi = np.mod(np.arctan2(axis[:, 1], axis[:, 0]), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself
-    return np.maximum(value, 0.0), np.abs(best_t), np.where(phi < 2.0 * np.pi, phi, 0.0)
+    return np.maximum(value, 0.0), np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2]), np.where(phi < 2.0 * np.pi, phi, 0.0)
 
 
 def _objective(s_est, bn, lengths):

@@ -359,15 +359,15 @@ class TestOptimizerConvergence:
     def test_pure_states_under_local_unitaries(self, side):
         # a pure state leaves a pure conditional state on every axis (radius
         # 1); a product state whose measured qubit points along an axis of
-        # the first mesh has an empty branch (p+- = 0) there, and around it
-        # the separable expansion rounds |a +- T n|^2 below 0; each state is
-        # also mixed with 1e-15 of I/4
+        # the first mesh (32 x 32 at grid 64) has an empty branch (p+- = 0)
+        # there, and around it the separable expansion rounds |a +- T n|^2
+        # below 0; each state is also mixed with 1e-15 of I/4
         rng = np.random.default_rng(5)
         up, down = np.eye(2)
         rhos, known = [], []
         for _ in range(8):
             u, v = random_unitary(rng), random_unitary(rng)
-            theta, phi = 0.5 * np.pi * rng.integers(64) / 63, 2.0 * np.pi * rng.integers(64) / 64
+            theta, phi = 0.5 * np.pi * rng.integers(32) / 31, 2.0 * np.pi * rng.integers(32) / 32
             on_mesh = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
             weight = rng.uniform(0.05, 0.95)
             for psi, c in (
@@ -395,6 +395,40 @@ class TestOptimizerConvergence:
         for r in range(5):
             fell = np.flatnonzero(values[r + 1] < values[r])
             assert fell.size == 0, f"refine_iters {r + 1} below {r}: states {fell}"
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_optimum_near_the_pole(self, side):
+        # a local unitary on the measured qubit turns each state's optimal
+        # axis to a polar angle in [0.005, 0.05], where a (theta, phi) box
+        # spans only a thin wedge of axes; the last state is the r1r2 pair of
+        # the 85th default_rng(1) Haar state (the benchmark panel's state
+        # 185), whose optimum measuring the first qubit is at theta = 0.013
+        rng = np.random.default_rng(42)
+        rhos = general_states(rng, 12)
+        _, thetas, phis = classical_correlation_batch(rhos, side, 128, 8)
+        optimum = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
+        polar, azimuth = rng.uniform(0.005, 0.05, len(rhos)), rng.uniform(0.0, 2.0 * np.pi, len(rhos))
+        target = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+        turned = []
+        for rho, n, m in zip(rhos, optimum, target):
+            # the rotation by angle about k, as a qubit unitary, takes n to m
+            k = np.cross(n, m)
+            angle = math.atan2(np.linalg.norm(k), n @ m)
+            k /= np.linalg.norm(k)
+            u = math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * (
+                k[0] * np.array([[0, 1], [1, 0]]) + k[1] * np.array([[0, -1j], [1j, 0]]) + k[2] * np.diag([1, -1]))
+            local = np.kron(u, np.eye(2)) if side == "first" else np.kron(np.eye(2), u)
+            turned.append(local @ rho @ local.conj().T)
+        panel = np.random.default_rng(1)
+        haar = [random_pure_state(panel) for _ in range(85)][-1]
+        rhos = np.concatenate([np.stack(turned), reduced_batch(haar[None], "r1r2")])
+        _, thetas, _ = classical_correlation_batch(rhos, side, 128, 8)
+        assert np.all(thetas[:-1] < 0.051) and np.all(thetas[:-1] > 0.0049)
+        scan = hemisphere_scan(rhos, side)
+        for grid in (48, 64, 96):
+            values, _, _ = classical_correlation_batch(rhos, side, grid, 4)
+            off = np.flatnonzero(np.abs(values - scan) > 1e-9)
+            assert off.size == 0, f"grid {grid}: states {off} off the scan by {(values - scan)[off]}"
 
     @pytest.mark.parametrize("name", ["lorentz_two_excitation", "lorentz_one_excitation"])
     def test_no_overshoot_near_an_empty_branch(self, name):
