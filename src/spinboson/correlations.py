@@ -14,8 +14,8 @@ refinement in the tangent plane at the mesh's best local maxima.  X
 states, whose eight entries off the diagonal and the anti-diagonal are
 exactly zero (every partition of both families is one at every time),
 scan a single azimuth, which follows in closed form from the state's
-correlation matrix.  The test is for exact zeros, so a state
-with round-off in those entries scans every azimuth.
+correlation matrix.  The test is for exact zeros, so a state with
+round-off in those entries scans every azimuth.
 
 The measurement class is restricted to rank-1 projective measurements.
 General POVMs never beat them for any state handled here (the closed-form
@@ -66,9 +66,9 @@ _DISCORD_CLAMP = -1e-8
 
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
 # to 32 KiB each.  Timed interleaved in one process on a 2-vCPU Xeon (48 KiB L1d
-# per core), 2^12 beat 2^13 in 15 of 16 calls on the benchmark's seed-1 panel of
-# 606 general states (median 0.22 against 0.31 s) and in 115 of 120 on the
-# README sweep's 606 X states (12 against 16 ms), and beat 2^11 in every call.
+# per core), 2^12 beat 2^13 in 12 of 16 calls on the benchmark's seed-1 panel of
+# 606 general states (median 133 against 141 ms), tied it on the README sweep's
+# 606 X states (29 of 60, 12.7 against 12.4 ms), and beat 2^11 in 69 of 76.
 _SLICE_AXES = 2**12
 
 # The refinement of a general state starts from the best _STARTS distinct local
