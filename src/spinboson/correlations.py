@@ -235,7 +235,7 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     gf = np.einsum("nski,nsli->nskl", frame, np.einsum("nij,nslj->nsli", g, frame))
     uw = np.zeros((n, starts, 2))
     u_box = np.linspace(-1.0, 1.0, _BOX)
-    w_box = u_box[_BOX // 2:_BOX // 2 + 1] if x_states else u_box
+    w_box = np.zeros(1) if x_states else u_box
     for sel in slices(starts * _BOX * len(w_box)):
         bk, ak, q = bf[sel, :, :, None, None], af[sel, :, :, None, None], gf[sel, :, :, :, None, None]
         for step in range(4 * refine_iters):
