@@ -10,7 +10,7 @@ quantum correlation (discord) Q:
 
 The optimiser works on the real Bloch form of the state: a deterministic
 mesh scan over (polar, azimuth) on the upper hemisphere, then local
-refinement in the tangent plane at the mesh's best local maxima.  X
+refinement in the tangent plane at the mesh's best axis.  X
 states, whose eight entries off the diagonal and the anti-diagonal are
 exactly zero (every partition of both families is one at every time),
 scan a single azimuth, which follows in closed form from the state's
@@ -71,12 +71,11 @@ _DISCORD_CLAMP = -1e-8
 # 606 X states (29 of 60, 12.7 against 12.4 ms), and beat 2^11 in 69 of 76.
 _SLICE_AXES = 2**12
 
-# The refinement of a general state starts from the best _STARTS distinct local
-# maxima of its first mesh, in boxes of _BOX x _BOX axes (_BOX x 1 for X states).
-# On panel seeds 0-10, both sides, grid 64 and 4 rounds, 5 falls at most 7.9e-13
-# bits short of the benchmark's reference, 7 at most 3.8e-13 for 1.1x the time,
-# and 3 up to 1.6e-6.
-_BOX, _STARTS = 5, 2
+# The refinement scans boxes of _BOX x _BOX axes (_BOX x 1 for X states) around
+# the best axis of the first mesh.  On panel seeds 0-10, both sides, grid 64 and
+# 4 rounds, 5 falls at most 7.9e-13 bits short of the benchmark's reference, 7 at
+# most 3.8e-13 for 1.2x the time, and 3 up to 1.6e-6.
+_BOX = 5
 
 SIDES = ("first", "second")
 
@@ -119,15 +118,14 @@ def classical_correlation_batch(
 
     Scans a (grid / 2) x (grid / 2) mesh of the upper hemisphere, polar
     angle theta in [0, pi/2] and azimuth phi in [0, 2 pi), then refines its
-    best ``_STARTS`` distinct local maxima in ``refine_iters`` rounds of
-    four halving 5 x 5 boxes in the tangent plane: (grid / 2)^2 + 200
-    ``refine_iters`` axes.  States whose eight entries off the diagonal and
-    the anti-diagonal are exactly zero (X states) scan ``grid`` polar angles
-    at one azimuth, known in closed form, and refine their best in 5 x 1
-    boxes: grid + 20 ``refine_iters`` axes.  The search is deterministic and
-    each state's result is independent of its batch: each scan covers as
-    many states as fit in ``_SLICE_AXES`` axes, or one state's band of
-    theta rows.
+    best axis in ``refine_iters`` rounds of four halving 5 x 5 boxes in the
+    tangent plane: (grid / 2)^2 + 100 ``refine_iters`` axes.  States whose
+    eight entries off the diagonal and the anti-diagonal are exactly zero
+    (X states) scan ``grid`` polar angles at one azimuth, known in closed
+    form, and refine their best in 5 x 1 boxes: grid + 20 ``refine_iters``
+    axes.  The search is deterministic and each state's result is
+    independent of its batch: each scan covers as many states as fit in
+    ``_SLICE_AXES`` axes, or one state's band of theta rows.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -156,8 +154,8 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     H((1 + |a +- T n| / (2 p+-)) / 2) (Girolami & Adesso, PRA 83, 052108
     (2011)).  n and -n are the same measurement, so the mesh covers the
     upper hemisphere.  A box is a grid of (u, w) in the chart n = (n0 + u e1
-    + w e2) / sqrt(1 + u^2 + w^2) at a start n0, with (e1, e2) the (theta,
-    phi) frame of n0, centred on the best (u, w) so far.
+    + w e2) / sqrt(1 + u^2 + w^2) at the mesh's best axis n0, with (e1, e2)
+    the (theta, phi) frame of n0, centred on the best (u, w) so far.
 
     With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
     is block diagonal, so p+- does not depend on phi and the best phi
@@ -192,69 +190,55 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
         size = max(1, _SLICE_AXES // axes)
         return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    rows, starts = (grid, 1) if x_states else (max(2, grid // 2), _STARTS)
+    rows = grid if x_states else max(2, grid // 2)
     theta = np.linspace(0.0, 0.5 * np.pi, rows)
     phi = (np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)[:, None] if x_states
            else np.broadcast_to(np.arange(rows) * (2.0 * np.pi / rows), (n, rows)))
     cols = phi.shape[1]
-    # the pole, and each antipodal pair on the equator, is one start at most
-    distinct = np.ones((rows, cols), dtype=bool)
-    distinct[0, 1:] = distinct[-1, (cols + 1) // 2:] = False
-    start_v, start_i = np.full((n, starts), -np.inf), np.zeros((n, starts), dtype=int)
-    # above grid 128 a state's mesh is scanned in theta bands, each with the rows either side
+    best_v, best_i = np.full(n, -np.inf), np.zeros(n, dtype=int)
+    # above grid 128 a state's mesh is scanned in theta bands, in order: the first maximum still wins
     band = max(1, _SLICE_AXES // cols)
     for sel in slices(rows * cols):
         cp, sp = np.cos(phi[sel])[:, None, :], np.sin(phi[sel])[:, None, :]
         gk, bk, ak = g[sel, ..., None, None], b[sel, :, None, None], at2[sel, :, None, None]
         for lo in range(0, rows, band):
-            hi = min(lo + band, rows)
-            th = theta[max(lo - 1, 0):hi + 1]
-            st, ct = np.sin(th)[:, None], np.cos(th)[:, None]
+            st, ct = np.sin(theta[lo:lo + band])[:, None], np.cos(theta[lo:lo + band])[:, None]
             bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bk, ak))
             even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
                 st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
-            val = score(sel, bn, an2, even)
-            # the rows past the pole and the equator are rows 1 and rows - 2 turned by pi
-            turned = [np.roll(val[:, j:j + 1], cols // 2, axis=2) for j in (1, -2)]
-            val = np.concatenate(turned[:1] * (lo == 0) + [val] + turned[1:] * (hi == rows), axis=1)
-            # a local maximum is at least its eight neighbours
-            near = np.maximum(np.maximum(val, np.roll(val, 1, axis=2)), np.roll(val, -1, axis=2))
-            peak = (val[:, 1:-1] >= np.maximum(np.maximum(near[:, :-2], near[:, 1:-1]), near[:, 2:])) & distinct[lo:hi]
-            # the starts so far come first, so ties keep the first in scan order
-            cand_v = np.concatenate([start_v[sel], np.where(peak, val[:, 1:-1], -np.inf).reshape(len(val), -1)], axis=1)
-            top = np.argsort(-cand_v, axis=1, kind="stable")[:, :starts]
-            start_v[sel] = np.take_along_axis(cand_v, top, axis=1)
-            start_i[sel] = np.where(top < starts, np.take_along_axis(start_i[sel], top % starts, axis=1), lo * cols + top - starts)
+            val = score(sel, bn, an2, even).reshape(len(bn), -1)
+            # ties keep the first maximum, in scan order
+            j, better = np.argmax(val, axis=1), val.max(axis=1) > best_v[sel]
+            best_v[sel] = np.maximum(best_v[sel], val.max(axis=1))
+            best_i[sel] = np.where(better, lo * cols + j, best_i[sel])
 
-    t0, p0 = theta[start_i // cols], np.take_along_axis(phi, start_i % cols, axis=1)
+    t0, p0 = theta[best_i // cols], phi[np.arange(n), best_i % cols]
     (st, ct), (sp, cp) = (np.sin(t0), np.cos(t0)), (np.sin(p0), np.cos(p0))
-    # n0, e1 and e2 of each start, along axis 2
+    # n0, e1 and e2 of each state, along axis 1
     frame = np.stack([np.stack(v, axis=-1) for v in (
-        (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=2)
-    bf, af = (np.einsum("ni,nski->nsk", v, frame) for v in (b, at2))
-    gf = np.einsum("nski,nsli->nskl", frame, np.einsum("nij,nslj->nsli", g, frame))
-    uw = np.zeros((n, starts, 2))
+        (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=1)
+    bf, af = (np.einsum("ni,nki->nk", v, frame) for v in (b, at2))
+    gf = np.einsum("nki,nli->nkl", frame, np.einsum("nij,nlj->nli", g, frame))
+    uw = np.zeros((n, 2))
     u_box = np.linspace(-1.0, 1.0, _BOX)
     w_box = np.zeros(1) if x_states else u_box
-    for sel in slices(starts * _BOX * len(w_box)):
-        bk, ak, q = bf[sel, :, :, None, None], af[sel, :, :, None, None], gf[sel, :, :, :, None, None]
+    for sel in slices(_BOX * len(w_box)):
+        bk, ak, q = bf[sel, :, None, None], af[sel, :, None, None], gf[sel, :, :, None, None]
         for step in range(4 * refine_iters):
             # 2 polar mesh steps, halved in each box; the scales are exact powers of two
             reach = np.pi / (rows - 1) * 0.5**step
-            u, w = uw[sel, :, 0, None, None] + reach * u_box[:, None], uw[sel, :, 1, None, None] + reach * w_box
+            u, w = uw[sel, 0, None, None] + reach * u_box[:, None], uw[sel, 1, None, None] + reach * w_box
             norm2 = 1.0 + u * u + w * w
-            bn, an2 = ((v[:, :, 0] + u * v[:, :, 1] + w * v[:, :, 2]) / np.sqrt(norm2) for v in (bk, ak))
-            ngn = q[:, :, 0, 0] + u * u * q[:, :, 1, 1] + w * w * q[:, :, 2, 2] + 2.0 * (
-                u * q[:, :, 0, 1] + w * q[:, :, 0, 2] + u * w * q[:, :, 1, 2])
-            val = score(sel, bn, an2, a2[sel, None, None, None] + ngn / norm2).reshape(bn.shape[:2] + (-1,))
+            bn, an2 = ((v[:, 0] + u * v[:, 1] + w * v[:, 2]) / np.sqrt(norm2) for v in (bk, ak))
+            ngn = q[:, 0, 0] + u * u * q[:, 1, 1] + w * w * q[:, 2, 2] + 2.0 * (
+                u * q[:, 0, 1] + w * q[:, 0, 2] + u * w * q[:, 1, 2])
+            val = score(sel, bn, an2, a2[sel, None, None] + ngn / norm2).reshape(len(bn), -1)
             # ties keep the first maximum, in scan order and then box order
-            j, better = np.argmax(val, axis=2), val.max(axis=2) > start_v[sel]
-            start_v[sel] = np.maximum(start_v[sel], val.max(axis=2))
-            uw[sel] += np.where(better[..., None], reach * np.stack([u_box[j // len(w_box)], w_box[j % len(w_box)]], -1), 0.0)
+            j, better = np.argmax(val, axis=1), val.max(axis=1) > best_v[sel]
+            best_v[sel] = np.maximum(best_v[sel], val.max(axis=1))
+            uw[sel] += np.where(better[:, None], reach * np.stack([u_box[j // len(w_box)], w_box[j % len(w_box)]], -1), 0.0)
 
-    axes = (frame[:, :, 0] + uw[..., :1] * frame[:, :, 1] + uw[..., 1:] * frame[:, :, 2]) / np.sqrt(
-        1.0 + np.sum(uw * uw, axis=2))[..., None]
-    axis = np.take_along_axis(axes, np.argmax(start_v, axis=1)[:, None, None], axis=1)[:, 0]
+    axis = (frame[:, 0] + uw[:, :1] * frame[:, 1] + uw[:, 1:] * frame[:, 2]) / np.sqrt(1.0 + np.sum(uw * uw, axis=1))[:, None]
     tn = np.einsum("nij,nj->ni", t, axis)
     value = _objective(s_est, np.einsum("ni,ni->n", b, axis),
                        (np.linalg.norm(a + tn, axis=1), np.linalg.norm(a - tn, axis=1)))

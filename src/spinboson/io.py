@@ -38,7 +38,7 @@ _TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bounds of the integer fields: far above every value the tests,
-# demos and benchmark use.  The optimiser scores (grid / 2)^2 + 200 *
+# demos and benchmark use.  The optimiser scores (grid / 2)^2 + 100 *
 # refine_iters axes per general state, grid + 20 * refine_iters per X state
 # (each scan holds at most correlations._SLICE_AXES axes, so its memory does
 # not grow with grid), and a sweep keeps every grid time of every partition.

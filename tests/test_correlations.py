@@ -425,7 +425,8 @@ class TestOptimizerConvergence:
         _, thetas, _ = classical_correlation_batch(rhos, side, 128, 8)
         assert np.all(thetas[:-1] < 0.051) and np.all(thetas[:-1] > 0.0049)
         scan = hemisphere_scan(rhos, side)
-        for grid in (48, 64, 96):
+        # grid 50 gives its first mesh an odd number of azimuths
+        for grid in (48, 50, 64, 96):
             values, _, _ = classical_correlation_batch(rhos, side, grid, 4)
             off = np.flatnonzero(np.abs(values - scan) > 1e-9)
             assert off.size == 0, f"grid {grid}: states {off} off the scan by {(values - scan)[off]}"
