@@ -10,12 +10,12 @@ quantum correlation (discord) Q:
 
 The optimiser works on the real Bloch form of the state: a deterministic
 mesh scan over (polar, azimuth) on the upper hemisphere, then local
-refinement in the tangent plane at the mesh's best axis.  X
-states, whose eight entries off the diagonal and the anti-diagonal are
-exactly zero (every partition of both families is one at every time),
-scan a single azimuth, which follows in closed form from the state's
-correlation matrix.  The test is for exact zeros, so a state with
-round-off in those entries scans every azimuth.
+refinement in the tangent plane at the mesh's best axis.  X states, whose
+eight entries off the diagonal and the anti-diagonal are exactly zero
+(every partition of both families is one at every time), scan a single
+azimuth, which follows in closed form from the state's correlation
+matrix.  The test is for exact zeros, so a state with round-off in those
+entries scans every azimuth.
 
 The measurement class is restricted to rank-1 projective measurements.
 General POVMs never beat them for any state handled here (the closed-form
@@ -238,7 +238,8 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
             best_v[sel] = np.maximum(best_v[sel], val.max(axis=1))
             uw[sel] += np.where(better[:, None], reach * np.stack([u_box[j // len(w_box)], w_box[j % len(w_box)]], -1), 0.0)
 
-    axis = (frame[:, 0] + uw[:, :1] * frame[:, 1] + uw[:, 1:] * frame[:, 2]) / np.sqrt(1.0 + np.sum(uw * uw, axis=1))[:, None]
+    axis = (frame[:, 0] + uw[:, :1] * frame[:, 1] + uw[:, 1:] * frame[:, 2]) / np.sqrt(
+        1.0 + np.sum(uw * uw, axis=1))[:, None]
     tn = np.einsum("nij,nj->ni", t, axis)
     value = _objective(s_est, np.einsum("ni,ni->n", b, axis),
                        (np.linalg.norm(a + tn, axis=1), np.linalg.norm(a - tn, axis=1)))
