@@ -66,9 +66,9 @@ _DISCORD_CLAMP = -1e-8
 
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
 # to 32 KiB each.  Timed interleaved in one process on a 2-vCPU Xeon (48 KiB L1d
-# per core), 2^12 beat 2^13 in 12 of 16 calls on the benchmark's seed-1 panel of
-# 606 general states (median 133 against 141 ms), tied it on the README sweep's
-# 606 X states (29 of 60, 12.7 against 12.4 ms), and beat 2^11 in 69 of 76.
+# per core), 2^12 beat 2^13 in 15 of 16 calls on the benchmark's seed-1 panel of
+# 606 general states (median 79 against 92 ms), in 45 of 60 on the README sweep's
+# 606 X states (14.8 against 15.4 ms), and beat 2^11 in 73 of 76.
 _SLICE_AXES = 2**12
 
 # The refinement scans boxes of _BOX x _BOX axes (_BOX x 1 for X states) around
