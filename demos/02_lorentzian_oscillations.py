@@ -13,7 +13,7 @@ import numpy as np
 
 from spinboson import (
     amplitudes_lorentz,
-    bisect_root,
+    bisect_positive_boundary,
     classical_correlation_spins_two_exc,
     count_local_maxima,
     count_sign_changes,
@@ -29,7 +29,7 @@ print(f"coupling ratio W/lambda = sqrt(200), ringing frequency sqrt(799) = {omeg
 print(f"amplitude sign changes on lambda*t in [0, 1]: {count_sign_changes(xi)}")
 print(f"expected zero spacing 2 pi / sqrt(799) = {2 * math.pi / omega:.6f}")
 
-first_zero = bisect_root(lambda t: amplitudes_lorentz(t, ratio).xi, 0.05, 0.2, tol=1e-12)
+first_zero = bisect_positive_boundary(lambda t: amplitudes_lorentz(t, ratio).xi, 0.05, 0.2, tol=1e-12)
 analytic = 2.0 * (math.pi - math.atan(omega)) / omega
 print(f"first zero (bisection): lambda*t = {first_zero:.9f}")
 print(f"first zero (analytic 2(pi - atan omega)/omega): {analytic:.9f}")

@@ -37,7 +37,6 @@ from .experiments import (
     AuditOutcome,
     SweepResult,
     bisect_positive_boundary,
-    bisect_root,
     count_local_maxima,
     count_sign_changes,
     flat_classical_tail_audit,

@@ -313,8 +313,8 @@ def discord_from(info, classical) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_unit_interval(who: str, **kwargs) -> dict:
-    """Arguments as floats clipped to [0, 1], with xi2 + chi2 = 1 checked."""
+def _check_unit_interval(who: str, **kwargs) -> tuple:
+    """Arguments as floats clipped to [0, 1], in order, with xi2 + chi2 = 1 checked."""
     out = {}
     for name, val in kwargs.items():
         v = np.asarray(val, dtype=float)
@@ -324,12 +324,25 @@ def _check_unit_interval(who: str, **kwargs) -> dict:
         out[name] = np.clip(v, 0.0, 1.0)
     if np.any(np.abs(out["xi2"] + out["chi2"] - 1.0) > 1e-10):
         raise ValueError(f"{who}: xi2 + chi2 must be 1")
-    return out
+    return tuple(out.values())
 
 
-def _disturbed_entropy(prod):
-    """H((1 + sqrt(1 - 4 u)) / 2) with the radicand clipped at zero."""
-    return binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * prod))))
+def _disturbed_entropy(u):
+    """H((1 + sqrt(1 - 4 u)) / 2) as H(2 u / (1 + sqrt(1 - 4 u))), radicand clipped at 0.
+
+    H is symmetric about 1/2, and this form of (1 - sqrt(1 - 4 u)) / 2 has no cancellation.
+    """
+    return binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
+
+
+def _classical(beta2, x2, y2):
+    """C = H(beta2 x2) - H((1 + sqrt(1 - 4 beta2 x2 y2)) / 2)."""
+    return binary_entropy(beta2 * x2) - _disturbed_entropy(beta2 * x2 * y2)
+
+
+def _quantum_one_exc(alpha2, x2, y2):
+    """Q = -H(x2) + H(alpha2 x2) + H((1 + sqrt(1 - 4 beta2 x2 y2)) / 2), beta2 = 1 - alpha2."""
+    return -binary_entropy(x2) + binary_entropy(alpha2 * x2) + _disturbed_entropy((1.0 - alpha2) * x2 * y2)
 
 
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -338,8 +351,8 @@ def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -
     C = H(beta2 * xi2) - H((1 + sqrt(1 - 4 beta2 xi2 chi2)) / 2); the
     optimum is attained by equatorial measurements.
     """
-    a = _check_unit_interval("classical_correlation_spins_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
-    return binary_entropy(a["beta2"] * a["xi2"]) - _disturbed_entropy(a["beta2"] * a["xi2"] * a["chi2"])
+    beta2, xi2, chi2 = _check_unit_interval("classical_correlation_spins_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
+    return _classical(beta2, xi2, chi2)
 
 
 def quantum_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -357,8 +370,8 @@ def reservoir_correlations_two_exc(beta2: float, xi2: float, chi2: float) -> tup
     The reservoir pair mirrors the spin pair with the roles of xi and chi
     exchanged, and again C = Q.
     """
-    a = _check_unit_interval("reservoir_correlations_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
-    c = binary_entropy(a["beta2"] * a["chi2"]) - _disturbed_entropy(a["beta2"] * a["xi2"] * a["chi2"])
+    beta2, xi2, chi2 = _check_unit_interval("reservoir_correlations_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
+    c = _classical(beta2, chi2, xi2)
     return c, c
 
 
@@ -368,8 +381,8 @@ def classical_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) 
     Takes the same value as the two-excitation expression with
     beta2 = 1 - alpha2; only Q distinguishes the two families.
     """
-    a = _check_unit_interval("classical_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    return classical_correlation_spins_two_exc(1.0 - a["alpha2"], a["xi2"], a["chi2"])
+    alpha2, xi2, chi2 = _check_unit_interval("classical_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
+    return _classical(1.0 - alpha2, xi2, chi2)
 
 
 def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) -> float:
@@ -378,13 +391,8 @@ def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) ->
     Q = -H(xi2) + H(alpha2 * xi2) + H((1 + sqrt(1 - 4 beta2 xi2 chi2)) / 2),
     with beta2 = 1 - alpha2.  At t = 0 this reduces to H(alpha2).
     """
-    a = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    beta2 = 1.0 - a["alpha2"]
-    return (
-        -binary_entropy(a["xi2"])
-        + binary_entropy(a["alpha2"] * a["xi2"])
-        + _disturbed_entropy(beta2 * a["xi2"] * a["chi2"])
-    )
+    alpha2, xi2, chi2 = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
+    return _quantum_one_exc(alpha2, xi2, chi2)
 
 
 def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tuple[float, float]:
@@ -394,18 +402,8 @@ def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tu
     Q = H((1 + sqrt(...)) / 2) - H(chi2) + H(alpha2 chi2); the reservoirs
     inherit the spin formulas with xi and chi exchanged.
     """
-    a = _check_unit_interval("reservoir_correlations_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    beta2 = 1.0 - a["alpha2"]
-    u = beta2 * a["xi2"] * a["chi2"]
-    c = binary_entropy(beta2 * a["chi2"]) - binary_entropy(
-        0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u)))
-    )
-    q = (
-        _disturbed_entropy(u)
-        - binary_entropy(a["chi2"])
-        + binary_entropy(a["alpha2"] * a["chi2"])
-    )
-    return c, q
+    alpha2, xi2, chi2 = _check_unit_interval("reservoir_correlations_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
+    return _classical(1.0 - alpha2, chi2, xi2), _quantum_one_exc(alpha2, chi2, xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +414,18 @@ def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tu
 def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
     """Wootters concurrence for a stack of two-qubit states.
 
-    Uses the Hermitian form sqrt(rho) rho~ sqrt(rho), whose spectrum equals
-    that of rho rho~, so the whole computation stays inside the Hermitian
-    eigensolver.
+    C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), where the
+    lambdas, the square roots of the eigenvalues of rho rho~, are the
+    singular values of tau = W^T (sigma_y x sigma_y) W with rho = W W^dagger
+    and W = V diag(sqrt(p)) from rho's eigensystem (Wootters, PRL 80, 2245
+    (1998)).  Singular values carry round-off of the largest only, so no
+    threshold is put on them.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    vals, vecs = np.linalg.eigh(rhos)
-    # square roots amplify round-off near zero: weights below 1e-13 of the
-    # leading (last, ascending order) one are rank-deficiency noise and are
-    # removed exactly
-    vals = np.where(vals > 1e-13 * vals[:, -1:], vals, 0.0)
-    sqrt_rho = np.einsum("nij,nj,nkj->nik", vecs, np.sqrt(vals), vecs.conj())
-    rho_tilde = np.einsum("ij,njk,kl->nil", _SPIN_FLIP, rhos.conj(), _SPIN_FLIP)
-    m = sqrt_rho @ rho_tilde @ sqrt_rho
-    mv = np.linalg.eigvalsh(m)[:, ::-1]
-    mv = np.where(mv > np.maximum(1e-13 * mv[:, :1], 1e-28), mv, 0.0)
-    lam = np.sqrt(mv)
+    vals, vecs = np.linalg.eigh(np.asarray(rhos, dtype=complex))
+    # negative round-off has no square root; any positive weight is kept, as
+    # a small genuine one moves the lambdas by more than noise does
+    w = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    lam = np.linalg.svd(np.swapaxes(w, 1, 2) @ _SPIN_FLIP @ w, compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 

@@ -365,38 +365,17 @@ def square_sum_audit(result: SweepResult, measure: str, tol: float = 1e-9) -> Au
 # ---------------------------------------------------------------------------
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 200) -> float:
-    """Bisection root of a sign-changing scalar function on [lo, hi]."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bisect_root: no sign change on the bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def bisect_positive_boundary(f, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 200) -> float:
-    """Boundary where a non-negative function first sticks to zero.
+    """Boundary between f > 0 and f <= 0 on [lo, hi].
 
-    Requires f(lo) > 0 and f(hi) == 0; bisects on the predicate f > 0.
-    Suited to concurrence, which dies at a point and stays dead.
+    Requires f(lo) > 0 and f(hi) <= 0; bisects on the predicate f > 0.
+    Suited to concurrence, which dies at a point and stays dead, and to
+    the first zero of a function that changes sign once on the bracket.
     """
     if not f(lo) > 0.0:
         raise ValueError("bisect_positive_boundary: f(lo) must be positive")
     if f(hi) > 0.0:
-        raise ValueError("bisect_positive_boundary: f(hi) must be zero")
+        raise ValueError("bisect_positive_boundary: f(hi) must not be positive")
     for _ in range(max_iter):
         if hi - lo < tol:
             break

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -57,6 +58,31 @@ def spin_cc_reference(b2, x2, c2):
     # direct evaluation of the analytic optimum, kept separate from the
     # package implementation on purpose
     return h2(b2 * x2) - h2(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * b2 * x2 * c2))))
+
+
+# Amplitude grids for the closed-vs-Wootters concurrence checks: short
+# ones, and long ones on which spin-pair weights fall below 1e-13 of the
+# largest (gamma t ~ 28) and a two_exc Lorentzian r1r2 state has
+# lambda_2 = lambda_3 ~ 3e-7 (lambda t = 9)
+WOOTTERS_GRIDS = {
+    "flat_3": amplitudes_flat(np.linspace(0.0, 3.0, 25)),
+    "flat_6": amplitudes_flat(np.linspace(0.0, 6.0, 40)),
+    "flat_40": amplitudes_flat(np.linspace(0.0, 40.0, 2001)),
+    "lorentz_1.5": amplitudes_lorentz(np.linspace(0.0, 1.5, 40), RATIO),
+    "lorentz_30": amplitudes_lorentz(np.linspace(0.0, 30.0, 2001), RATIO),
+}
+
+
+def spin_cc_decimal(b2, x2, c2):
+    """spin_cc_reference at 50 significant digits, from the same float inputs."""
+
+    def h(p):
+        return Decimal(0) if p <= 0 or p >= 1 else -(p * p.ln() + (1 - p) * (1 - p).ln()) / Decimal(2).ln()
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, x, c = Decimal(b2), Decimal(x2), Decimal(c2)
+        return float(h(b * x) - h((1 - (1 - 4 * b * x * c).sqrt()) / 2))
 
 
 def bell_state():
@@ -245,6 +271,32 @@ class TestClosedForms:
         )
         assert gap > 1e-3
 
+    def test_nonnegative_at_late_times(self):
+        # C and Q of both pairs are differences of entropies that shrink
+        # like exp(-gamma t); none may round below zero
+        amps = amplitudes_flat(np.linspace(0.0, 60.0, 3001))
+        xi2, chi2 = amps.xi**2, np.minimum(amps.chi**2, 1.0)
+        for w in (0.1, 0.5, 0.9):
+            values = [classical_correlation_spins_two_exc(w, xi2, chi2),
+                      classical_correlation_spins_one_exc(w, xi2, chi2),
+                      quantum_correlation_spins_one_exc(w, xi2, chi2),
+                      *reservoir_correlations_two_exc(w, xi2, chi2),
+                      *reservoir_correlations_one_exc(w, xi2, chi2)]
+            assert min(v.min() for v in values) >= 0.0
+
+    def test_spins_two_exc_matches_decimal_reference(self):
+        # C is H(beta2 xi2) less an entropy that agrees with it in all but
+        # ~1e-8 of its value by gamma t = 20, so one rounding of H(beta2 xi2)
+        # is ~1e-6 of C there: the bound is 1e-6 relative plus 4 ulp of it
+        # (forming 1 - sqrt(1 - 4u) by subtraction is 1.5e-2 off at gamma t = 16)
+        xi2 = np.exp(-np.linspace(0.0, 20.0, 2001))
+        chi2 = 1.0 - xi2
+        for b2 in (0.1, 0.5, 0.9):
+            got = classical_correlation_spins_two_exc(b2, xi2, chi2)
+            want = np.array([spin_cc_decimal(b2, x, c) for x, c in zip(xi2, chi2)])
+            big = np.array([h2(b2 * x) for x in xi2])
+            assert np.all(np.abs(got - want) <= 1e-6 * want + 4.0 * np.spacing(big))
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="beta2"):
             classical_correlation_spins_two_exc(1.5, 0.5, 0.5)
@@ -273,28 +325,49 @@ class TestConcurrence:
         rho_b = reduced(pure_state("two_exc", alpha, beta, before), "s1s2")
         assert concurrence_wootters(rho_b) > 1e-4
 
-    def test_closed_matches_wootters_two_exc(self):
-        alpha, beta = LOPSIDED
-        for tau in np.linspace(0.0, 6.0, 40):
-            amps = amplitudes_flat(tau)
-            rho = reduced(pure_state("two_exc", alpha, beta, amps), "s1s2")
-            assert abs(concurrence_wootters(rho) - concurrence_closed("two_exc", alpha, beta, *amps)) < 1e-9
+    @staticmethod
+    def wootters_gap(family, partition, amps):
+        """Largest |Wootters - closed form| concurrence on a grid, over three weights."""
+        closed = concurrence_closed if partition == "s1s2" else concurrence_closed_reservoirs
+        gap = 0.0
+        for b2 in (0.1, 0.5, 0.9):
+            alpha, beta = math.sqrt(1.0 - b2), math.sqrt(b2)
+            rhos = reduced_batch(pure_state(family, alpha, beta, amps), partition)
+            gap = max(gap, np.abs(concurrence_batch(rhos) - closed(family, alpha, beta, amps.xi, amps.chi)).max())
+        return gap
 
-    def test_closed_matches_wootters_one_exc_lorentz(self):
-        alpha, beta = BELL
-        for tau in np.linspace(0.0, 1.5, 40):
-            amps = amplitudes_lorentz(tau, RATIO)
-            rho = reduced(pure_state("one_exc", alpha, beta, amps), "s1s2")
-            assert abs(concurrence_wootters(rho) - concurrence_closed("one_exc", alpha, beta, *amps)) < 1e-9
+    @pytest.mark.parametrize("grid", ["flat_6", "flat_40", "lorentz_30"])
+    def test_closed_matches_wootters_two_exc(self, grid):
+        assert self.wootters_gap("two_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-12
 
-    def test_reservoir_closed_matches_wootters(self):
-        alpha, beta = LOPSIDED
-        for fam in ("two_exc", "one_exc"):
-            for tau in np.linspace(0.0, 3.0, 25):
-                amps = amplitudes_flat(tau)
-                rho = reduced(pure_state(fam, alpha, beta, amps), "r1r2")
-                closed = concurrence_closed_reservoirs(fam, alpha, beta, *amps)
-                assert abs(concurrence_wootters(rho) - closed) < 1e-9
+    @pytest.mark.parametrize("grid", ["lorentz_1.5", "flat_40", "lorentz_30"])
+    def test_closed_matches_wootters_one_exc(self, grid):
+        assert self.wootters_gap("one_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-12
+
+    @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
+    @pytest.mark.parametrize("grid", ["flat_3", "flat_40", "lorentz_30"])
+    def test_reservoir_closed_matches_wootters(self, family, grid):
+        assert self.wootters_gap(family, "r1r2", WOOTTERS_GRIDS[grid]) < 1e-12
+
+    @pytest.mark.parametrize("partition", ["s1r1", "s1r2", "s2r1", "s2r2"])
+    def test_matches_x_state_formula_on_mixed_pairs(self, partition):
+        # every model state is an X state, whose concurrence is
+        # 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44));
+        # s1r2 states carry genuine weights ~1e-14 next to ones near 1/2, and
+        # a cut at 1e-13 of the largest weight puts one (Lorentzian two_exc,
+        # lambda t = 1.225) 2.9e-7 off.  The eigensolver's absolute error in
+        # weights near 1e-16 still moves the lambdas by up to ~1.4e-8
+        worst = 0.0
+        for family in ("two_exc", "one_exc"):
+            for grid in ("flat_40", "lorentz_30"):
+                for b2 in (0.1, 0.5, 0.9):
+                    psi = pure_state(family, math.sqrt(1.0 - b2), math.sqrt(b2), WOOTTERS_GRIDS[grid])
+                    r = reduced_batch(psi, partition)
+                    x = 2.0 * np.maximum(0.0, np.maximum(
+                        np.abs(r[:, 0, 3]) - np.sqrt(r[:, 1, 1].real * r[:, 2, 2].real),
+                        np.abs(r[:, 1, 2]) - np.sqrt(r[:, 0, 0].real * r[:, 3, 3].real)))
+                    worst = max(worst, np.abs(concurrence_batch(r) - x).max())
+        assert worst < 1e-7
 
     def test_one_exc_never_dies(self):
         alpha, beta = LOPSIDED
@@ -663,8 +736,9 @@ class TestBatchComposition:
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_theta_bands_match_one_mesh_scan(self, side, monkeypatch):
-        # at grid 256 a general state's 65,536-axis mesh is scanned in 16
-        # bands of theta; one scan of the whole mesh finds the same axes
+        # at grid 256 a general state's 16,384-axis (128 x 128) mesh is
+        # scanned in 4 bands of theta; one scan of the whole mesh finds the
+        # same axes
         rhos = general_states(np.random.default_rng(33), 6)
         banded = classical_correlation_batch(rhos, side, 256, 1)
         monkeypatch.setattr(correlations, "_SLICE_AXES", 2**20)
@@ -680,7 +754,7 @@ class TestBatchComposition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2**20  # 7.5 MiB when the mesh was one scan
+        assert peak <= 2**20  # 0.5 MiB; 3.8 MiB with the mesh in one scan
 
 
 def bits(x):
