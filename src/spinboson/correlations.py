@@ -62,8 +62,6 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 # state is undefined and the branch contributes nothing.
 _P_FLOOR = 1e-14
 
-_DISCORD_CLAMP = -1e-8
-
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
 # to 32 KiB each.  Timed interleaved in one process on a 2-vCPU Xeon (48 KiB L1d
 # per core), 2^12 beat 2^13 in 15 of 16 calls on the benchmark's seed-1 panel of
@@ -99,7 +97,8 @@ def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
     r4 = rhos.reshape(-1, 2, 2, 2, 2)
     s_a = entropy2_batch(np.einsum("nabcb->nac", r4))
     s_b = entropy2_batch(np.einsum("nabad->nbd", r4))
-    return s_a + s_b - entropy_from_eigenvalues(np.linalg.eigvalsh(rhos))
+    # eigvalsh gives the small weights of near-pure states to ~1e-16 absolute
+    return _floor_roundoff(s_a + s_b - entropy_from_eigenvalues(np.linalg.eigvalsh(rhos)), "mutual_information")
 
 
 def mutual_information(rho: np.ndarray) -> float:
@@ -301,11 +300,15 @@ def discord_from(info, classical) -> np.ndarray:
     Optimiser slack can leave values a hair below zero; anything in
     [-1e-8, 0) is reported as 0, and anything below raises.
     """
-    q = np.asarray(info) - classical
-    if np.any(q < _DISCORD_CLAMP):
-        raise ValueError(f"discord: negative value {np.nanmin(q):.3e} beyond clamp")
+    return _floor_roundoff(np.asarray(info) - classical, "discord")
+
+
+def _floor_roundoff(values: np.ndarray, who: str) -> np.ndarray:
+    """Entropy differences with round-off in [-1e-8, 0) set to 0; raises on anything lower."""
+    if np.any(values < -1e-8):
+        raise ValueError(f"{who}: negative value {np.nanmin(values):.3e} beyond clamp")
     # not np.maximum, which can keep -0.0
-    return np.where(q > 0.0, q, 0.0)
+    return np.where(values > 0.0, values, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,11 @@ SERIES_MEASURES = ("mutual_info", "classical", "quantum", "concurrence")
 
 _AGREEMENT_TOL = 1e-6
 
+# Ratio band of the asymptotic audits, and how close the late two_exc
+# reservoir Q must come to its target H(beta2).
+_TAIL_BAND = (0.9, 1.1)
+_TRANSFER_TOL = 1e-3
+
 
 @dataclass
 class AuditOutcome:
@@ -226,7 +231,7 @@ def _ratio(num: np.ndarray, denom: np.ndarray, floor: float) -> np.ndarray:
     return np.where(ok, num / np.where(ok, denom, 1.0), 1.0)
 
 
-def flat_classical_tail_audit(beta2: float, gamma_ts, band=(0.9, 1.1)) -> AuditOutcome:
+def flat_classical_tail_audit(beta2: float, gamma_ts) -> AuditOutcome:
     """Late-time behaviour of the spin-pair C against its leading form.
 
     Compares C to (beta2 - beta2^2) * gamma_t * exp(-2 gamma_t) / ln 2 on a
@@ -248,7 +253,7 @@ def flat_classical_tail_audit(beta2: float, gamma_ts, band=(0.9, 1.1)) -> AuditO
     ratios = _ratio(c, lead, 0.0)
     gaps = np.abs(ratios - 1.0)
     monotone = bool(np.all(np.diff(gaps) <= 1e-12)) and gaps[-1] <= gaps[0] + 1e-12
-    in_band = bool(np.all((ratios >= band[0]) & (ratios <= band[1])))
+    in_band = bool(np.all((ratios >= _TAIL_BAND[0]) & (ratios <= _TAIL_BAND[1])))
     return AuditOutcome(
         name="flat_classical_tail",
         passed=monotone,
@@ -257,26 +262,19 @@ def flat_classical_tail_audit(beta2: float, gamma_ts, band=(0.9, 1.1)) -> AuditO
             "beta2": beta2,
             "gamma_ts": ts.tolist(),
             "ratios": ratios.tolist(),
-            "band": tuple(band),
+            "band": _TAIL_BAND,
             "in_band": in_band,
         },
     )
 
 
-def reservoir_transfer_audit(
-    family: str,
-    alpha2: float,
-    beta2: float,
-    gamma_ts,
-    band=(0.9, 1.1),
-    tol: float = 1e-3,
-) -> AuditOutcome:
+def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts) -> AuditOutcome:
     """Checks that correlations complete their move into the reservoirs.
 
     two_exc: at late gamma_t (>= 15) the reservoir-pair Q must sit within
-    ``tol`` of the initial spin-pair value H(beta2).
+    1e-3 of the initial spin-pair value H(beta2).
     one_exc: the spin-pair Q must track H(alpha2) * exp(-gamma_t) within
-    ``band`` on a tail of times gamma_t >= 8.
+    a factor in [0.9, 1.1] on a tail of times gamma_t >= 8.
     """
     ts = np.asarray(list(gamma_ts), dtype=float)
     if ts.size == 0:
@@ -290,9 +288,9 @@ def reservoir_transfer_audit(
         worst = float(np.abs(q - target).max())
         return AuditOutcome(
             name="reservoir_transfer_two_exc",
-            passed=worst < tol,
+            passed=worst < _TRANSFER_TOL,
             margin=worst,
-            details={"beta2": beta2, "target": float(target), "gamma_ts": ts.tolist(), "tol": tol},
+            details={"beta2": beta2, "target": float(target), "gamma_ts": ts.tolist(), "tol": _TRANSFER_TOL},
         )
     if family == "one_exc":
         if ts.min() < 8.0:
@@ -300,12 +298,12 @@ def reservoir_transfer_audit(
         xi2 = np.exp(-ts)
         q = quantum_correlation_spins_one_exc(alpha2, xi2, 1.0 - xi2)
         ratios = _ratio(q, binary_entropy(alpha2) * xi2, 1e-300)
-        in_band = bool(np.all((ratios >= band[0]) & (ratios <= band[1])))
+        in_band = bool(np.all((ratios >= _TAIL_BAND[0]) & (ratios <= _TAIL_BAND[1])))
         return AuditOutcome(
             name="reservoir_transfer_one_exc",
             passed=in_band,
             margin=float(np.abs(ratios - 1.0).max()),
-            details={"alpha2": alpha2, "gamma_ts": ts.tolist(), "ratios": ratios.tolist(), "band": tuple(band)},
+            details={"alpha2": alpha2, "gamma_ts": ts.tolist(), "ratios": ratios.tolist(), "band": _TAIL_BAND},
         )
     raise ValueError(f"reservoir_transfer_audit: unknown family {family!r}")
 
@@ -316,13 +314,13 @@ def reservoir_transfer_audit(
 
 
 def square_sum_series(result: SweepResult, measure: str) -> np.ndarray:
-    """Sum of squared measures over the four non-interacting partitions."""
+    """Sum of squared measures over the four non-interacting partitions; others are left out."""
     if measure not in MEASURES:
         raise ValueError(f"square_sum_series: measure must be one of {MEASURES}")
     present = {part for part, _, _ in result.values}
-    if present != set(SQUARE_SUM_PARTITIONS):
+    if not present >= set(SQUARE_SUM_PARTITIONS):
         raise ValueError(
-            f"square_sum_series: sweep must cover exactly {SQUARE_SUM_PARTITIONS}, got {sorted(present)}"
+            f"square_sum_series: sweep must cover {SQUARE_SUM_PARTITIONS}, got {sorted(present)}"
         )
     pipe = result.main_pipeline()
     total = None

@@ -27,13 +27,11 @@ CSV_HEADER = "time,partition,pipeline,mutual_info,classical,quantum,concurrence,
 
 PIPELINE_NAMES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
-AUDIT_TOGGLES = ("agreement", "asymptotics", "square_sums")
-
 # config keys that set the RunConfig field of the same name to their value
 _FIELD_KEYS = {"time_start", "time_end", "time_steps", "partitions", "pipeline", "out_dir", "grid",
                "refine_iters", "side", "svg"}
 
-_TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral", "audits"}
+_TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral"}
 
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
@@ -98,7 +96,6 @@ class RunConfig:
     refine_iters: int = 4
     side: str = "second"
     svg: bool = False
-    audits: tuple = AUDIT_TOGGLES
 
     def __post_init__(self):
         def put(field, value):
@@ -153,18 +150,13 @@ class RunConfig:
         if np.any(np.diff(self._time_grid()) <= 0.0):
             raise ValueError("config: time_start, time_end and time_steps give a time grid that does not increase")
 
-        for field in ("partitions", "audits"):
-            if not isinstance(getattr(self, field), (tuple, list)):
-                raise ValueError(f"config: {field} must be a list or tuple of names, got {getattr(self, field)!r}")
+        if not isinstance(self.partitions, (tuple, list)):
+            raise ValueError(f"config: partitions must be a list or tuple of names, got {self.partitions!r}")
         put("partitions", check_partitions(self.partitions, "config"))
         if not isinstance(self.svg, bool):
             raise ValueError("config: svg must be a boolean")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError("config: out_dir must be a string path")
-        unknown = set(self.audits) - set(AUDIT_TOGGLES)
-        if unknown:
-            raise ValueError(f"config: audits has unknown toggle {sorted(unknown)[0]!r}")
-        put("audits", tuple(name for name in AUDIT_TOGGLES if name in self.audits))
 
     def _time_grid(self) -> np.ndarray:
         return np.linspace(self.time_start, self.time_end, self.time_steps) * self.spectral.rate
@@ -225,14 +217,6 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise ValueError(f"config: spectral.kind must be 'flat' or 'lorentz', got {kind!r}")
 
-    toggles = doc.get("audits", {})
-    if not isinstance(toggles, dict):
-        raise ValueError("config: audits must be an object of boolean toggles")
-    for name, on in toggles.items():
-        if not isinstance(on, bool):
-            raise ValueError(f"config: audits.{name} must be a boolean, got {on!r}")
-    # RunConfig rejects an unknown toggle by name, whether it is on or off
-    audits = [name for name in AUDIT_TOGGLES if toggles.get(name, True)] + sorted(set(toggles) - set(AUDIT_TOGGLES))
     weights = [_number(doc.get(key, 0.0), key) for key in ("alpha_re", "alpha_im", "beta_re", "beta_im")]
 
     return RunConfig(
@@ -240,7 +224,6 @@ def parse_config(text: str) -> RunConfig:
         alpha=complex(*weights[:2]),
         beta=complex(*weights[2:]),
         spectral=spectral,
-        audits=audits,
         **{key: doc[key] for key in _FIELD_KEYS & set(doc)},
     )
 
@@ -263,7 +246,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "pipeline": cfg.pipeline,
         "grid": cfg.grid, "refine_iters": cfg.refine_iters,
         "side": cfg.side, "svg": cfg.svg,
-        "audits": {name: (name in cfg.audits) for name in AUDIT_TOGGLES},
     }
     if cfg.out_dir is not None:
         doc["out_dir"] = cfg.out_dir

@@ -28,7 +28,7 @@ from spinboson.correlations import (
     reservoir_correlations_two_exc,
 )
 from spinboson.experiments import run_sweep
-from spinboson.io import figure_config
+from spinboson.io import RunConfig, figure_config
 from spinboson.linalg import random_pure_state
 from spinboson.model import (
     PARTITION_ORDER,
@@ -122,6 +122,24 @@ class TestMutualInformation:
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             mutual_information(bad)
+
+    def test_never_negative_on_late_flat_bell_states(self):
+        # the s1s2 pair of a flat Bell two_exc sweep to gamma t = 30 is near
+        # pure late on, where eigvalsh's ~1e-16 absolute error on its small
+        # weights put I at -3.5e-14 on 91 of 301 times
+        cfg = RunConfig("two_exc", 0.70710678, 0.70710678, SpectralDensity("flat", gamma=1.0),
+                        time_end=30.0, time_steps=301)
+        info = run_sweep(cfg.scenario(), ("s1s2",), "brute_force").series("s1s2", "brute_force", "mutual_info")
+        assert info.min() == 0.0
+        assert not np.signbit(info).any()  # no -0.0, which prints as -0
+
+    def test_batch_raises_beyond_round_off(self):
+        # pure marginals, and S(AB) = 0.5 from the clipped weights (1, 0.5, 0, 0):
+        # a negative I far beyond round-off
+        bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        bad[1, 2] = bad[2, 1] = 0.5
+        with pytest.raises(ValueError, match="mutual_information: negative value -5.000e-01"):
+            mutual_information_batch(bad[None])
 
 
 class TestBruteForce:

@@ -273,11 +273,16 @@ class TestSquareSumAudit:
             assert audit.passed
             assert not audit.details["monotone_nonincreasing"]
 
-    def test_requires_exact_partition_set(self):
+    def test_requires_exact_partition_set(self, flat_sweep):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "brute_force", grid=8, refine_iters=1)
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ValueError, match=r"must cover \('s1s2', 's1r2', 's2r1', 'r1r2'\), got \['r1r2', 's1s2'\]"):
             square_sum_audit(res, "quantum")
+        # a superset sums the same four pairs: a state's brute-force values do not
+        # depend on the partitions or pipelines swept beside it
+        every = run_sweep(flat_sweep.scenario, PARTITION_ORDER, "both", grid=16, refine_iters=3)
+        for measure in ("quantum", "classical", "concurrence"):
+            assert square_sum_series(every, measure).tobytes() == square_sum_series(flat_sweep, measure).tobytes()
 
     def test_unknown_measure(self, flat_sweep):
         with pytest.raises(ValueError, match="measure"):

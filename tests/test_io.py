@@ -9,11 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinboson import cli
 from spinboson.cli import main
 from spinboson.correlations import SIDES
-from spinboson.experiments import SERIES_MEASURES, SweepResult, run_sweep
+from spinboson.experiments import (
+    MEASURES,
+    SERIES_MEASURES,
+    SQUARE_SUM_PARTITIONS,
+    SweepResult,
+    flat_classical_tail_audit,
+    reservoir_transfer_audit,
+    run_sweep,
+    square_sum_audit,
+)
 from spinboson.io import (
-    AUDIT_TOGGLES,
     CSV_HEADER,
     FIGURE_CONFIGS,
     MAX_GRID,
@@ -130,10 +139,6 @@ class TestParseConfig:
             parse_config(json.dumps(bell_doc(side="both")))
         with pytest.raises(ValueError, match="grid"):
             parse_config(json.dumps(bell_doc(grid=0)))
-        doc = bell_doc()
-        doc["audits"] = {"everything": True}
-        with pytest.raises(ValueError, match="everything"):
-            parse_config(json.dumps(doc))
 
     def test_round_trip(self):
         for doc in (
@@ -217,11 +222,11 @@ class TestConfigHardening:
         with pytest.raises(ValueError, match="partitions must be a list"):
             parse_config(json.dumps(bell_doc(partitions="s1s2")))
 
-    def test_audit_toggles_must_be_booleans(self):
-        # a truthy string such as "no" used to switch the audit on
-        doc = bell_doc(audits={"agreement": "no"})
-        with pytest.raises(ValueError, match="audits.agreement must be a boolean"):
-            parse_config(json.dumps(doc))
+    @pytest.mark.parametrize("audits", [{"agreement": False}, {"agreement": True}, {}])
+    def test_audits_key_rejected(self, audits):
+        # every audit that applies runs; there are no toggles to set
+        with pytest.raises(ValueError, match="unknown key 'audits'"):
+            parse_config(json.dumps(bell_doc(audits=audits)))
 
     @pytest.mark.parametrize(
         "spectral,time_end,message",
@@ -289,9 +294,6 @@ INVALID_FIELDS = [
     ("refine_iters", {"refine_iters": -1}, -1, "refine_iters is -1; must be in"),
     ("side", {"side": "both"}, "both", "side must be one of"),
     ("svg", {"svg": "yes"}, "yes", "svg must be a boolean"),
-    ("audits", {"audits": {"bogus": True}}, ("bogus",), "audits has unknown toggle 'bogus'"),
-    ("audits", {"audits": {"bogus": False}}, ("bogus",), "audits has unknown toggle 'bogus'"),
-    ("audits", {"audits": ["agreement"]}, "agreement", "audits must be a"),
 ]
 
 
@@ -351,7 +353,6 @@ def valid_configs(draw):
         pipeline=draw(st.sampled_from(tuple(PIPELINE_NAMES))), side=draw(st.sampled_from(SIDES)),
         out_dir=draw(st.none() | st.just("results")), svg=draw(st.booleans()),
         grid=draw(st.integers(2, MAX_GRID)), refine_iters=draw(st.integers(0, MAX_REFINE_ITERS)),
-        audits=draw(st.lists(st.sampled_from(AUDIT_TOGGLES), unique=True)),
     )
 
 
@@ -608,6 +609,46 @@ class TestCli:
         assert "PASS closed_vs_brute" in out
         assert "PASS square_sum_quantum" in out
         assert "PASS flat_classical_tail" in out
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # flat: the partitions lack s2r1, and the two asymptotic audits follow
+            bell_doc(partitions=["s1s2", "r1r2", "s1r1", "s1r2"], time_end=3.0, time_steps=25),
+            # Lorentzian: four lines, no asymptotic audits
+            bell_doc(family="one_exc", alpha_re=0.6, beta_re=0.8, partitions=["r1r2", "s2r2", "s1s2"],
+                     spectral={"kind": "lorentz", "W": math.sqrt(200.0), "lambda": 1.0}, time_steps=25),
+        ],
+        ids=["flat", "lorentz"],
+    )
+    def test_audit_makes_one_sweep_and_prints_the_two_sweep_lines(self, tmp_path, capsys, monkeypatch, doc):
+        # the audit used to run a both-pipeline sweep of the config's partitions and
+        # a brute-force sweep of the four square-sum pairs; one sweep of the union
+        # must print the same lines, margins included
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc))
+        cfg = parse_config(cfg_path.read_text())
+        outcomes = run_sweep(**cfg.sweep_args("both")).audits
+        pairs = run_sweep(**{**cfg.sweep_args("brute_force"), "partitions": SQUARE_SUM_PARTITIONS})
+        outcomes += [square_sum_audit(pairs, measure) for measure in MEASURES]
+        if cfg.spectral.kind == "flat":
+            beta2 = abs(cfg.beta) ** 2
+            outcomes.append(flat_classical_tail_audit(beta2, np.linspace(8.0, 12.0, 5)))
+            outcomes.append(reservoir_transfer_audit(cfg.family, abs(cfg.alpha) ** 2, beta2, [20.0]))
+        expected = "".join(f"{'PASS' if a.passed else 'FAIL'} {a.name} margin={a.margin:.3e}\n" for a in outcomes)
+
+        calls = []
+
+        def counted(**kwargs):
+            calls.append(kwargs["partitions"])
+            return run_sweep(**kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", counted)
+        rc = main(["audit", str(cfg_path)])
+        assert capsys.readouterr().out == expected
+        assert rc == 0
+        assert len(calls) == 1 and set(calls[0]) == set(cfg.partitions) | set(SQUARE_SUM_PARTITIONS)
+        assert len(expected.splitlines()) == (6 if cfg.spectral.kind == "flat" else 4)
 
     def test_oracle_writes_bruteforce_only(self, tmp_path):
         cfg_path = tmp_path / "run.json"
