@@ -33,8 +33,8 @@ from .io import PIPELINE_NAMES, RunConfig, emit_csv, emit_figures, emit_svg_plot
 # flag -> (config field it overrides, argparse keywords)
 _FLAGS = {
     "--out": ("out_dir", dict(metavar="DIR", help="output directory (overrides config)")),
-    "--grid": ("grid", dict(type=int, metavar="N", help="optimiser mesh: (N/2)^2 axes, N for X states (overrides config)")),
-    "--refine": ("refine_iters", dict(type=int, metavar="N", help="optimiser refinement rounds of 4 boxes (overrides config)")),
+    "--grid": ("grid", dict(type=int, metavar="N", help="optimiser mesh: max(12, N/4)^2 axes, N for X states (overrides config)")),
+    "--refine": ("refine_iters", dict(type=int, metavar="N", help="optimiser refinement: 2N Newton steps (overrides config)")),
     "--side": ("side", dict(choices=SIDES, help="measured side (overrides config)")),
     "--pipeline": ("pipeline", dict(choices=tuple(PIPELINE_NAMES), help="pipeline (overrides config)")),
 }

@@ -9,8 +9,8 @@ quantum correlation (discord) Q:
   evolving initial-state families of :mod:`spinboson.model`.
 
 The optimiser works on the real Bloch form of the state: a deterministic
-mesh scan over (polar, azimuth) on the upper hemisphere, then local
-refinement in the tangent plane at the mesh's best axis.  X states, whose
+mesh scan over (polar, azimuth) on the upper hemisphere, then Newton
+steps in the tangent plane at the mesh's best axis.  X states, whose
 eight entries off the diagonal and the anti-diagonal are exactly zero
 (every partition of both families is one at every time), scan a single
 azimuth, which follows in closed form from the state's correlation
@@ -36,20 +36,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    binary_entropy,
-    entropy2_batch,
-    entropy_from_eigenvalues,
-    require_state,
-)
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy, entropy2_batch, entropy_from_eigenvalues, require_state
 
-# sigma_y x sigma_y, the spin flip of Wootters' concurrence
-_SPIN_FLIP = np.array(
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
-)
+# the spin flip of Wootters' concurrence
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 # identity first: R_uv = Tr(rho sigma_u x sigma_v) holds a, b and T of the
 # Bloch form in its first column, first row and lower-right block
 _PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -63,17 +53,18 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 _P_FLOOR = 1e-14
 
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
-# to 32 KiB each.  Timed interleaved in one process on a 2-vCPU Xeon (48 KiB L1d
-# per core), 2^12 beat 2^13 in 15 of 16 calls on the benchmark's seed-1 panel of
-# 606 general states (median 79 against 92 ms), in 45 of 60 on the README sweep's
-# 606 X states (14.8 against 15.4 ms), and beat 2^11 in 73 of 76.
+# to 32 KiB each; one state's first mesh at io.MAX_GRID, 64 x 64 axes, fills a
+# slice.  Timed interleaved in one process on a 2-vCPU Xeon (medians of 40
+# calls), 2^11 took 1.2-1.3x as long on the benchmark's seed-1 panel of 606
+# general states and on the README sweep's 606 X states, and 2^13 was within 6%.
 _SLICE_AXES = 2**12
 
-# The refinement scans boxes of _BOX x _BOX axes (_BOX x 1 for X states) around
-# the best axis of the first mesh.  On panel seeds 0-10, both sides, grid 64 and
-# 4 rounds, 5 falls at most 7.9e-13 bits short of the benchmark's reference, 7 at
-# most 3.8e-13 for 1.2x the time, and 3 up to 1.6e-6.
-_BOX = 5
+# Step of the central differences that give each Newton step its gradient and
+# Hessian.  On panel seeds 0-10 of the benchmark, both sides, the search ends at
+# most 1.6e-15 bits below its reference at grids 16 to 64.
+_H = 1e-4
+
+_TINY = np.finfo(float).tiny
 
 SIDES = ("first", "second")
 
@@ -107,24 +98,21 @@ def mutual_information(rho: np.ndarray) -> float:
     return float(mutual_information_batch(rho[None])[0])
 
 
-def classical_correlation_batch(
-    rhos: np.ndarray,
-    side: str = "second",
-    grid: int = 64,
-    refine_iters: int = 4,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classical_correlation_batch(rhos: np.ndarray, side: str = "second", grid: int = 64,
+                                refine_iters: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
-    Scans a (grid / 2) x (grid / 2) mesh of the upper hemisphere, polar
-    angle theta in [0, pi/2] and azimuth phi in [0, 2 pi), then refines its
-    best axis in ``refine_iters`` rounds of four halving 5 x 5 boxes in the
-    tangent plane: (grid / 2)^2 + 100 ``refine_iters`` axes.  States whose
-    eight entries off the diagonal and the anti-diagonal are exactly zero
-    (X states) scan ``grid`` polar angles at one azimuth, known in closed
-    form, and refine their best in 5 x 1 boxes: grid + 20 ``refine_iters``
-    axes.  The search is deterministic and each state's result is
-    independent of its batch: each scan covers as many states as fit in
-    ``_SLICE_AXES`` axes, or one state's band of theta rows.
+    Scans an m x m mesh of the upper hemisphere, m = max(12, grid // 4):
+    polar angles theta in [0, pi/2] times azimuths phi in [0, 2 pi).  From
+    its best axis it takes 2 ``refine_iters`` Newton steps in the tangent
+    plane, each scoring a 3 x 3 stencil and one trial axis: m^2 + 20
+    ``refine_iters`` axes.  States whose eight entries off the diagonal and
+    the anti-diagonal are exactly zero (X states) scan ``grid`` polar angles
+    at one azimuth, known in closed form, and step in the polar direction
+    only, 3 + 1 axes a step: grid + 8 ``refine_iters`` axes.  The search is
+    deterministic and each state's result is independent of its batch: each
+    scan covers as many states as fit in ``_SLICE_AXES`` axes, and at least
+    one.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -152,21 +140,27 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     PRA 77, 042303 (2008)), so C is the maximum over n of S(A) - sum_+- p+-
     H((1 + |a +- T n| / (2 p+-)) / 2) (Girolami & Adesso, PRA 83, 052108
     (2011)).  n and -n are the same measurement, so the mesh covers the
-    upper hemisphere.  A box is a grid of (u, w) in the chart n = (n0 + u e1
-    + w e2) / sqrt(1 + u^2 + w^2) at the mesh's best axis n0, with (e1, e2)
-    the (theta, phi) frame of n0, centred on the best (u, w) so far.
+    upper hemisphere.  The steps work in the chart n = (n0 + u e1 + w e2) /
+    sqrt(1 + u^2 + w^2) at the mesh's best axis n0, with (e1, e2) the
+    (theta, phi) frame of n0.  Each reads the gradient g and Hessian H in
+    (u, w) from central differences and tries -H^-1 g where H is negative
+    definite, else g, no longer than a trust radius; the trial is kept only
+    if it scores strictly higher, and a rejected one quarters the radius.
+    Away from an empty branch the objective is smooth, so the steps converge
+    quadratically.
 
     With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
     is block diagonal, so p+- does not depend on phi and the best phi
     maximises n.G n for every theta, with G = T^T T.  That phi, along the
     top eigenvector of G's xy block, is the only azimuth of the mesh (Chen
-    et al., PRA 84, 042313 (2011)), and the boxes have width 0 in w.
+    et al., PRA 84, 042313 (2011)), and the steps keep w = 0.
 
-    Every scan is an outer product, and so is every term: v.n on the mesh is
-    sin theta (v_x cos phi + v_y sin phi) + v_z cos theta, and |a +- T n|^2 =
+    The mesh scan is an outer product, and so is every term: v.n is sin
+    theta (v_x cos phi + v_y sin phi) + v_z cos theta, and |a +- T n|^2 =
     |a|^2 + n.G n +- 2 (a^T T).n, clamped at 0 against round-off before the
     square root.  Near an empty branch that expansion loses digits, so the
-    winning axis is scored once more with |a +- T n| computed directly.
+    mesh's best axis is scored once more, and every step, with |a +- T n|
+    computed directly: each reported value is the direct score of its axis.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
@@ -179,72 +173,77 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     g = np.einsum("nki,nkj->nij", t, t)
     at2 = 2.0 * np.einsum("ni,nij->nj", a, t)
 
-    def score(sel, bn, an2, even):
-        """The objective from b.n, 2 (a^T T).n and |a|^2 + n.G n for states sel."""
-        lengths = (np.sqrt(np.maximum(even + an2, 0.0)), np.sqrt(np.maximum(even - an2, 0.0)))
-        return _objective(s_est[sel].reshape((-1,) + (1,) * (bn.ndim - 1)), bn, lengths)
-
     def slices(axes):
         """Slices of the states, as many per slice as fit in _SLICE_AXES axes."""
         size = max(1, _SLICE_AXES // axes)
         return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    rows = grid if x_states else max(2, grid // 2)
+    rows = grid if x_states else max(12, grid // 4)
     theta = np.linspace(0.0, 0.5 * np.pi, rows)
     phi = (np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)[:, None] if x_states
            else np.broadcast_to(np.arange(rows) * (2.0 * np.pi / rows), (n, rows)))
     cols = phi.shape[1]
-    best_v, best_i = np.full(n, -np.inf), np.zeros(n, dtype=int)
-    # above grid 128 a state's mesh is scanned in theta bands, in order: the first maximum still wins
-    band = max(1, _SLICE_AXES // cols)
+    best_i = np.empty(n, dtype=int)
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
     for sel in slices(rows * cols):
         cp, sp = np.cos(phi[sel])[:, None, :], np.sin(phi[sel])[:, None, :]
         gk, bk, ak = g[sel, ..., None, None], b[sel, :, None, None], at2[sel, :, None, None]
-        for lo in range(0, rows, band):
-            st, ct = np.sin(theta[lo:lo + band])[:, None], np.cos(theta[lo:lo + band])[:, None]
-            bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bk, ak))
-            even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
-                st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
-            val = score(sel, bn, an2, even).reshape(len(bn), -1)
-            # ties keep the first maximum, in scan order
-            j, better = np.argmax(val, axis=1), val.max(axis=1) > best_v[sel]
-            best_v[sel] = np.maximum(best_v[sel], val.max(axis=1))
-            best_i[sel] = np.where(better, lo * cols + j, best_i[sel])
+        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bk, ak))
+        even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
+            st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
+        lengths = [np.sqrt(np.maximum(even + sign * an2, 0.0)) for sign in (1.0, -1.0)]
+        # ties keep the first maximum, in scan order
+        best_i[sel] = np.argmax(_objective(s_est[sel, None, None], bn, lengths).reshape(len(bn), -1), axis=1)
 
     t0, p0 = theta[best_i // cols], phi[np.arange(n), best_i % cols]
     (st, ct), (sp, cp) = (np.sin(t0), np.cos(t0)), (np.sin(p0), np.cos(p0))
-    # n0, e1 and e2 of each state, along axis 1
+    # n0, e1 and e2 of each state along axis 1, and the b.e and T e of each along the last axis
     frame = np.stack([np.stack(v, axis=-1) for v in (
         (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=1)
-    bf, af = (np.einsum("ni,nki->nk", v, frame) for v in (b, at2))
-    gf = np.einsum("nki,nli->nkl", frame, np.einsum("nij,nlj->nli", g, frame))
+    bt = np.einsum("nij,nkj->nik", r[:, :, 1:], frame)
+
+    def direct(sel, u, w):
+        """The objective at chart points (u, w), each (states, points), from a +- T n itself."""
+        norm = np.sqrt(1.0 + u * u + w * w)
+        bn, *tn = ((v[:, 0, None] + u * v[:, 1, None] + w * v[:, 2, None]) / norm for v in np.moveaxis(bt[sel], 1, 0))
+        return _objective(s_est[sel, None], bn, [np.sqrt(sum((a[sel, i, None] + sign * tn[i]) ** 2 for i in range(3)))
+                                                 for sign in (1.0, -1.0)])
+
+    # the central-difference stencil: 3 x 3 points, 3 x 1 for X states
+    ticks = np.array([-_H, 0.0, _H])
+    du, dw = (x.ravel() for x in np.meshgrid(ticks, ticks[1:2] if x_states else ticks, indexing="ij"))
     uw = np.zeros((n, 2))
-    u_box = np.linspace(-1.0, 1.0, _BOX)
-    w_box = np.zeros(1) if x_states else u_box
-    for sel in slices(_BOX * len(w_box)):
-        bk, ak, q = bf[sel, :, None, None], af[sel, :, None, None], gf[sel, :, :, None, None]
-        for step in range(4 * refine_iters):
-            # 2 polar mesh steps, halved in each box; the scales are exact powers of two
-            reach = np.pi / (rows - 1) * 0.5**step
-            u, w = uw[sel, 0, None, None] + reach * u_box[:, None], uw[sel, 1, None, None] + reach * w_box
-            norm2 = 1.0 + u * u + w * w
-            bn, an2 = ((v[:, 0] + u * v[:, 1] + w * v[:, 2]) / np.sqrt(norm2) for v in (bk, ak))
-            ngn = q[:, 0, 0] + u * u * q[:, 1, 1] + w * w * q[:, 2, 2] + 2.0 * (
-                u * q[:, 0, 1] + w * q[:, 0, 2] + u * w * q[:, 1, 2])
-            val = score(sel, bn, an2, a2[sel, None, None] + ngn / norm2).reshape(len(bn), -1)
-            # ties keep the first maximum, in scan order and then box order
-            j, better = np.argmax(val, axis=1), val.max(axis=1) > best_v[sel]
-            best_v[sel] = np.maximum(best_v[sel], val.max(axis=1))
-            uw[sel] += np.where(better[:, None], reach * np.stack([u_box[j // len(w_box)], w_box[j % len(w_box)]], -1), 0.0)
+    best_v = direct(slice(None), uw[:, :1], uw[:, 1:])[:, 0]
+    # the trust radius: one polar mesh step, quartered on every rejected trial
+    radius = np.full(n, 0.5 * np.pi / (rows - 1))
+    for sel in slices(len(du) + 1):
+        for _ in range(2 * refine_iters):
+            r = radius[sel]
+            f = direct(sel, uw[sel, :1] + du, uw[sel, 1:] + dw).reshape(len(r), 3, -1)
+            m = f.shape[2] // 2
+            gu, huu = (f[:, 2, m] - f[:, 0, m]) / (2.0 * _H), (f[:, 2, m] - 2.0 * f[:, 1, m] + f[:, 0, m]) / _H**2
+            # X states move along u only: no slope along w, and a curvature that keeps Newton's w at 0
+            gw, hww, huw = (0.0, -1.0, 0.0) if x_states else (
+                (f[:, 1, 2] - f[:, 1, 0]) / (2.0 * _H), (f[:, 1, 2] - 2.0 * f[:, 1, 1] + f[:, 1, 0]) / _H**2,
+                (f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / (4.0 * _H**2))
+            det = huu * hww - huw * huw
+            # Newton's step -H^-1 g where the Hessian is negative definite, else the gradient at full radius
+            newton = (huu < 0.0) & (det > 0.0)
+            det, scale = np.where(newton, det, 1.0), r / np.maximum(np.hypot(gu, gw), _TINY)
+            step = np.stack([np.where(newton, (huw * gw - hww * gu) / det, gu * scale),
+                             np.where(newton, (huw * gu - huu * gw) / det, gw * scale)], -1)
+            trial = uw[sel] + step * (r / np.maximum(np.hypot(step[:, 0], step[:, 1]), r))[:, None]
+            value = direct(sel, trial[:, :1], trial[:, 1:])[:, 0]
+            # only a strictly better trial moves the point
+            better = value > best_v[sel]
+            best_v[sel], radius[sel] = np.where(better, value, best_v[sel]), np.where(better, r, 0.25 * r)
+            uw[sel] = np.where(better[:, None], trial, uw[sel])
 
     axis = (frame[:, 0] + uw[:, :1] * frame[:, 1] + uw[:, 1:] * frame[:, 2]) / np.sqrt(
-        1.0 + np.sum(uw * uw, axis=1))[:, None]
-    tn = np.einsum("nij,nj->ni", t, axis)
-    value = _objective(s_est, np.einsum("ni,ni->n", b, axis),
-                       (np.linalg.norm(a + tn, axis=1), np.linalg.norm(a - tn, axis=1)))
+        1.0 + uw[:, :1] * uw[:, :1] + uw[:, 1:] * uw[:, 1:])
     phi = np.mod(np.arctan2(axis[:, 1], axis[:, 0]), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself
-    return np.maximum(value, 0.0), np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2]), np.where(phi < 2.0 * np.pi, phi, 0.0)
+    return np.maximum(best_v, 0.0), np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2]), np.where(phi < 2.0 * np.pi, phi, 0.0)
 
 
 def _objective(s_est, bn, lengths):
@@ -261,15 +260,11 @@ def _entropy_half(r):
     """H((1 + r) / 2) in bits for r in [0, 1], unchecked."""
     x = 0.5 * (1.0 + r)
     y = 1.0 - x  # exact for x >= 1/2; at y = 0 the term is 0 times a finite log
-    return -x * np.log2(x) - y * np.log2(np.maximum(y, np.finfo(float).tiny))
+    return -x * np.log2(x) - y * np.log2(np.maximum(y, _TINY))
 
 
-def classical_correlation_bruteforce(
-    rho: np.ndarray,
-    side: str = "second",
-    grid: int = 64,
-    refine_iters: int = 4,
-) -> tuple[float, MeasurementAxis]:
+def classical_correlation_bruteforce(rho: np.ndarray, side: str = "second", grid: int = 64,
+                                     refine_iters: int = 4) -> tuple[float, MeasurementAxis]:
     """Maximal entropy reduction of one qubit by measuring the other.
 
     Returns the correlation in bits together with a maximising axis.  Flat
@@ -282,12 +277,7 @@ def classical_correlation_bruteforce(
     return float(v[0]), MeasurementAxis(float(t[0]), float(p[0]))
 
 
-def discord(
-    rho: np.ndarray,
-    side: str = "second",
-    grid: int = 64,
-    refine_iters: int = 4,
-) -> float:
+def discord(rho: np.ndarray, side: str = "second", grid: int = 64, refine_iters: int = 4) -> float:
     """Quantum correlation Q = I - C via the brute-force optimiser, in bits (see ``discord_from``)."""
     rho, _ = require_state(rho, "discord", 4)
     c, _ = classical_correlation_bruteforce(rho, side, grid, refine_iters)
@@ -304,9 +294,12 @@ def discord_from(info, classical) -> np.ndarray:
 
 
 def _floor_roundoff(values: np.ndarray, who: str) -> np.ndarray:
-    """Entropy differences with round-off in [-1e-8, 0) set to 0; raises on anything lower."""
+    """Entropy differences with round-off in [-1e-8, 0) set to 0; raises on anything lower or not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{who}: non-finite value {values.flat[bad[0]]} at index {bad[0]}")
     if np.any(values < -1e-8):
-        raise ValueError(f"{who}: negative value {np.nanmin(values):.3e} beyond clamp")
+        raise ValueError(f"{who}: negative value {values.min():.3e} beyond clamp")
     # not np.maximum, which can keep -0.0
     return np.where(values > 0.0, values, 0.0)
 
@@ -330,22 +323,31 @@ def _check_unit_interval(who: str, **kwargs) -> tuple:
     return tuple(out.values())
 
 
-def _disturbed_entropy(u):
-    """H((1 + sqrt(1 - 4 u)) / 2) as H(2 u / (1 + sqrt(1 - 4 u))), radicand clipped at 0.
-
-    H is symmetric about 1/2, and this form of (1 - sqrt(1 - 4 u)) / 2 has no cancellation.
-    """
-    return binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
-
-
 def _classical(beta2, x2, y2):
-    """C = H(beta2 x2) - H((1 + sqrt(1 - 4 beta2 x2 y2)) / 2)."""
-    return binary_entropy(beta2 * x2) - _disturbed_entropy(beta2 * x2 * y2)
+    """C = H(p) - H(q) with p = beta2 x2 and q = (1 - s) / 2, s = sqrt(1 - 4 beta2 x2 y2).
+
+    H is symmetric about 1/2; q is taken as 2 beta2 x2 y2 / (1 + s), which has
+    no cancellation, with the radicand clipped at 0.  For x2 <= 1/2 the two
+    entropies cancel as x2 shrinks, so there C comes from d = p - q = 4 beta2
+    (1 - beta2) x2^2 y2 / ((1 + s) (1 + s - 2 x2)), formed without a
+    subtraction, as d ln((1 - p) / p) - q log1p(d / q) - (1 - q) log1p(-d /
+    (1 - q)) nats.
+    """
+    s = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * beta2 * x2 * y2))
+    p, q = beta2 * x2, 2.0 * beta2 * x2 * y2 / (1.0 + s)
+    direct = (x2 > 0.5) | (q <= 0.0)
+    # where the direct form serves, this one may divide by zero: those cells are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 4.0 * beta2 * (1.0 - beta2) * x2 * x2 * y2 / np.maximum((1.0 + s) * (1.0 + s - 2.0 * x2), _TINY)
+        small = d * np.log((1.0 - p) / p) - q * np.log1p(d / q) - (1.0 - q) * np.log1p(-d / (1.0 - q))
+    return np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))[()]
 
 
 def _quantum_one_exc(alpha2, x2, y2):
-    """Q = -H(x2) + H(alpha2 x2) + H((1 + sqrt(1 - 4 beta2 x2 y2)) / 2), beta2 = 1 - alpha2."""
-    return -binary_entropy(x2) + binary_entropy(alpha2 * x2) + _disturbed_entropy((1.0 - alpha2) * x2 * y2)
+    """Q = -H(x2) + H(alpha2 x2) + H(q), with q of ``_classical`` at beta2 = 1 - alpha2."""
+    u = (1.0 - alpha2) * x2 * y2
+    disturbed = binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
+    return -binary_entropy(x2) + binary_entropy(alpha2 * x2) + disturbed
 
 
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -455,8 +457,6 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
     raise ValueError(f"concurrence_closed: unknown family {family!r}")
 
 
-def concurrence_closed_reservoirs(
-    family: str, alpha: complex, beta: complex, xi: float, chi: float
-) -> float:
+def concurrence_closed_reservoirs(family: str, alpha: complex, beta: complex, xi: float, chi: float) -> float:
     """Closed-form reservoir-pair concurrence (spin formulas with xi <-> chi)."""
     return concurrence_closed(family, alpha, beta, chi, np.abs(xi))

@@ -95,13 +95,10 @@ class SweepResult:
 
 def _closed_values(scenario: Scenario, partition: str, amps: np.ndarray):
     """Closed-form (C, Q, concurrence) arrays over the grid for one partition."""
-    xi = amps[:, 0]
-    chi = amps[:, 1]
-    xi2 = xi**2
-    chi2 = np.minimum(chi**2, 1.0)
+    xi, chi = amps[:, 0], amps[:, 1]
+    xi2, chi2 = xi**2, np.minimum(chi**2, 1.0)
     alpha, beta, family = scenario.alpha, scenario.beta, scenario.family
-    a2 = abs(alpha) ** 2
-    b2 = abs(beta) ** 2
+    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     if partition == "s1s2":
         cs = classical_correlation_spins_two_exc(b2, xi2, chi2)
         qs = cs if family == "two_exc" else quantum_correlation_spins_one_exc(a2, xi2, chi2)

@@ -72,7 +72,8 @@ def entropy_from_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """-sum(lam * log2 lam) along the last axis, clamping round-off."""
     lam = np.clip(np.asarray(vals, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
+        # a NaN weight stays NaN, so the caller sees it
+        terms = np.where(lam == 0.0, 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)))
     return -np.sum(terms, axis=-1)
 
 

@@ -197,6 +197,12 @@ class TestFlatTailAudit:
         # must still approach 1 monotonically
         assert flat_classical_tail_audit(0.5, [20.0, 22.0, 24.0, 26.0]).passed
 
+    @pytest.mark.parametrize("b2", [0.1, 0.5, 0.9])
+    def test_passes_out_to_gamma_t_300(self, b2):
+        # C is ~3e-259 bits at gamma t = 300; taken as H(beta2 xi2) - H(q),
+        # it was lost to rounding by gamma t = 37 and the audit failed
+        assert flat_classical_tail_audit(b2, np.linspace(8.0, 300.0, 293)).passed
+
     def test_gap_shrinks_for_heavy_weight(self):
         audit = flat_classical_tail_audit(0.9, [8.0, 10.0, 12.0])
         gaps = np.abs(np.array(audit.details["ratios"]) - 1.0)
