@@ -54,9 +54,10 @@ _P_FLOOR = 1e-14
 
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
 # to 32 KiB each; one state's first mesh at io.MAX_GRID, 64 x 64 axes, fills a
-# slice.  Timed interleaved in one process on a 2-vCPU Xeon (medians of 40
-# calls), 2^11 took 1.2-1.3x as long on the benchmark's seed-1 panel of 606
-# general states and on the README sweep's 606 X states, and 2^13 was within 6%.
+# slice.  Timed interleaved in one process on a 2-vCPU Xeon (CPU time, medians
+# of 40 calls, two runs), 2^11 took 1.15-1.29x as long on the benchmark's seed-1
+# panel of 606 general states and on the README sweep's 606 X states, and 2^13
+# 1.07-1.08x.
 _SLICE_AXES = 2**12
 
 # Step of the central differences that give each Newton step its gradient and
@@ -155,59 +156,54 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     top eigenvector of G's xy block, is the only azimuth of the mesh (Chen
     et al., PRA 84, 042313 (2011)), and the steps keep w = 0.
 
-    The mesh scan is an outer product, and so is every term: v.n is sin
-    theta (v_x cos phi + v_y sin phi) + v_z cos theta, and |a +- T n|^2 =
-    |a|^2 + n.G n +- 2 (a^T T).n, clamped at 0 against round-off before the
-    square root.  Near an empty branch that expansion loses digits, so the
-    mesh's best axis is scored once more, and every step, with |a +- T n|
-    computed directly: each reported value is the direct score of its axis.
+    Every axis, of the mesh, a stencil or a trial, is scored one way: from
+    b.n and the three components of T n, with |a +- T n| summed from its
+    components.  The mesh takes b.e and T e of the frame at the pole, turned
+    by the X-state azimuth, and gives each of its axes the coefficients
+    (cos theta, sin theta cos phi, sin theta sin phi) in that frame.
     """
     n = rhos.shape[0]
     r = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(n, 2, 2, 2, 2), _PAULI, _PAULI).real
     if side == "first":
         r = np.swapaxes(r, 1, 2)
-    # a of the kept qubit, b of the measured one
-    a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
-    a2 = np.einsum("ni,ni->n", a, a)
-    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(a2), 1.0)))
-    g = np.einsum("nki,nkj->nij", t, t)
-    at2 = 2.0 * np.einsum("ni,nij->nj", a, t)
+    # a of the kept qubit; b and T of the measured one, stacked
+    a, bt = r[:, 1:, 0], r[:, :, 1:]
+    s_est = binary_entropy(0.5 * (1.0 + np.minimum(np.sqrt(np.einsum("ni,ni->n", a, a)), 1.0)))[:, None]
+    # the components of a, each a (states, 1) column
+    a = a.T[..., None]
 
     def slices(axes):
         """Slices of the states, as many per slice as fit in _SLICE_AXES axes."""
         size = max(1, _SLICE_AXES // axes)
         return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    rows = grid if x_states else max(12, grid // 4)
-    theta = np.linspace(0.0, 0.5 * np.pi, rows)
-    phi = (np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi)[:, None] if x_states
-           else np.broadcast_to(np.arange(rows) * (2.0 * np.pi / rows), (n, rows)))
-    cols = phi.shape[1]
-    best_i = np.empty(n, dtype=int)
-    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    for sel in slices(rows * cols):
-        cp, sp = np.cos(phi[sel])[:, None, :], np.sin(phi[sel])[:, None, :]
-        gk, bk, ak = g[sel, ..., None, None], b[sel, :, None, None], at2[sel, :, None, None]
-        bn, an2 = (st * (v[:, 0] * cp + v[:, 1] * sp) + v[:, 2] * ct for v in (bk, ak))
-        even = a2[sel, None, None] + gk[:, 2, 2] * ct * ct + 2.0 * st * ct * (gk[:, 0, 2] * cp + gk[:, 1, 2] * sp) + (
-            st * st * (gk[:, 0, 0] * cp * cp + 2.0 * gk[:, 0, 1] * cp * sp + gk[:, 1, 1] * sp * sp))
-        lengths = [np.sqrt(np.maximum(even + sign * an2, 0.0)) for sign in (1.0, -1.0)]
-        # ties keep the first maximum, in scan order
-        best_i[sel] = np.argmax(_objective(s_est[sel, None, None], bn, lengths).reshape(len(bn), -1), axis=1)
+    def frame(theta, phi):
+        """The axes at (theta, phi) with their (theta, phi) frames, n0, e1 and e2 along axis 1, and b.e and T e."""
+        (st, ct), (sp, cp) = (np.sin(theta), np.cos(theta)), (np.sin(phi), np.cos(phi))
+        axes = np.stack([np.stack(v, axis=-1) for v in (
+            (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=1)
+        return axes, np.einsum("nij,nkj->nik", bt, axes)
 
-    t0, p0 = theta[best_i // cols], phi[np.arange(n), best_i % cols]
-    (st, ct), (sp, cp) = (np.sin(t0), np.cos(t0)), (np.sin(p0), np.cos(p0))
-    # n0, e1 and e2 of each state along axis 1, and the b.e and T e of each along the last axis
-    frame = np.stack([np.stack(v, axis=-1) for v in (
-        (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))], axis=1)
-    bt = np.einsum("nij,nkj->nik", r[:, :, 1:], frame)
+    rows = grid if x_states else max(12, grid // 4)
+    # the frame's azimuth: the X states' closed-form one, else 0
+    g = np.einsum("nki,nkj->nij", r[:, 1:, 1:3], r[:, 1:, 1:3])
+    spin = np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi) if x_states else np.zeros(n)
+    theta, phi = (x.ravel() for x in np.meshgrid(
+        np.linspace(0.0, 0.5 * np.pi, rows), np.arange(1 if x_states else rows) * (2.0 * np.pi / rows), indexing="ij"))
+    coeffs = np.stack([np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)])
+    _, proj = frame(np.zeros(n), spin)
+    best_i = np.empty(n, dtype=int)
+    for sel in slices(coeffs.shape[1]):
+        # ties keep the first maximum, in scan order
+        best_i[sel] = np.argmax(_objective(s_est[sel], a[:, sel], np.einsum("nkj,ja->kna", proj[sel], coeffs)), axis=1)
+
+    axes, proj = frame(theta[best_i], spin + phi[best_i])
 
     def direct(sel, u, w):
-        """The objective at chart points (u, w), each (states, points), from a +- T n itself."""
+        """The objective at chart points (u, w), each (states, points)."""
         norm = np.sqrt(1.0 + u * u + w * w)
-        bn, *tn = ((v[:, 0, None] + u * v[:, 1, None] + w * v[:, 2, None]) / norm for v in np.moveaxis(bt[sel], 1, 0))
-        return _objective(s_est[sel, None], bn, [np.sqrt(sum((a[sel, i, None] + sign * tn[i]) ** 2 for i in range(3)))
-                                                 for sign in (1.0, -1.0)])
+        return _objective(s_est[sel], a[:, sel],
+                          [(v[:, :1] + u * v[:, 1:2] + w * v[:, 2:]) / norm for v in np.moveaxis(proj[sel], 1, 0)])
 
     # the central-difference stencil: 3 x 3 points, 3 x 1 for X states
     ticks = np.array([-_H, 0.0, _H])
@@ -239,18 +235,20 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
             best_v[sel], radius[sel] = np.where(better, value, best_v[sel]), np.where(better, r, 0.25 * r)
             uw[sel] = np.where(better[:, None], trial, uw[sel])
 
-    axis = (frame[:, 0] + uw[:, :1] * frame[:, 1] + uw[:, 1:] * frame[:, 2]) / np.sqrt(
+    axis = (axes[:, 0] + uw[:, :1] * axes[:, 1] + uw[:, 1:] * axes[:, 2]) / np.sqrt(
         1.0 + uw[:, :1] * uw[:, :1] + uw[:, 1:] * uw[:, 1:])
     phi = np.mod(np.arctan2(axis[:, 1], axis[:, 0]), 2.0 * np.pi)
     # mod of a tiny negative angle rounds up to 2 pi itself
     return np.maximum(best_v, 0.0), np.arctan2(np.hypot(axis[:, 0], axis[:, 1]), axis[:, 2]), np.where(phi < 2.0 * np.pi, phi, 0.0)
 
 
-def _objective(s_est, bn, lengths):
-    """S(A) - sum_+- p+- H((1 + |a +- T n| / (2 p+-)) / 2) from b.n and (|a + T n|, |a - T n|)."""
+def _objective(s_est, a, projections):
+    """S(A) - sum_+- p+- H((1 + |a +- T n| / (2 p+-)) / 2) from S(A), a and each axis's (b.n, T n), component-wise."""
+    bn, *tn = projections
     val = 0.0
-    for q, length in zip((1.0 + bn, 1.0 - bn), lengths):
+    for q, branch in ((1.0 + bn, np.add), (1.0 - bn, np.subtract)):
         # q = 2 p+-; an empty branch (p <= _P_FLOOR) gets weight 0 and any radius
+        length = np.sqrt(sum(branch(ai, ti) ** 2 for ai, ti in zip(a, tn)))
         radius = np.minimum(length / np.maximum(q, 2.0 * _P_FLOOR), 1.0)
         val = val + np.where(q > 2.0 * _P_FLOOR, q, 0.0) * _entropy_half(radius)
     return s_est - 0.5 * val

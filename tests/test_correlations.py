@@ -496,8 +496,8 @@ class TestOptimizerConvergence:
         # a pure state leaves a pure conditional state on every axis (radius
         # 1); a product state whose measured qubit points along an axis of
         # the first mesh (16 x 16 at grid 64) has an empty branch (p+- = 0)
-        # there, and around it the separable expansion rounds |a +- T n|^2
-        # below 0; each state is also mixed with 1e-15 of I/4
+        # on that axis, which must score without a division by zero or a
+        # NaN; each state is also mixed with 1e-15 of I/4
         rng = np.random.default_rng(5)
         up, down = np.eye(2)
         rhos, known = [], []
@@ -585,24 +585,31 @@ class TestOptimizerConvergence:
             off = np.flatnonzero(np.abs(values - scan) > 1e-9)
             assert off.size == 0, f"grid {grid}: states {off} off the scan by {(values - scan)[off]}"
 
-    @pytest.mark.parametrize("name", ["lorentz_two_excitation", "lorentz_one_excitation"])
-    def test_no_overshoot_near_an_empty_branch(self, name):
-        # near lambda t = 1.225 xi is close to 0, the spin pair is close to a
-        # product state and one measurement branch is almost empty; there the
-        # separable expansion of |a +- T n|^2 loses digits, which once put
-        # the full-azimuth search 3.1e-11 bits above the closed form
-        scenario = figure_config(name, time_steps=801).scenario()
-        closed = run_sweep(scenario, ("s1s2", "r1r2"), "closed_form")
+    @pytest.mark.parametrize("name,side", [("lorentz_two_excitation", "second"), ("lorentz_one_excitation", "second"),
+                                           ("late_flat_bell", "first"), ("late_flat_bell", "second")],
+                             ids=["lorentz_two_excitation", "lorentz_one_excitation", "late_flat_bell_first",
+                                  "late_flat_bell_second"])
+    def test_no_overshoot_near_an_empty_branch(self, name, side):
+        # the spin pair comes close to a product state near lambda t = 1.225
+        # of the Lorentzian figures, where xi is close to 0, and late in CI's
+        # flat Bell sweep to gamma t = 30; there a measurement branch at the
+        # pole, an axis of every mesh, is almost empty.  Brute C and Q must
+        # meet the closed forms, and a state mixed with 1e-14 of a general
+        # one must not overshoot them
+        config = (RunConfig("two_exc", 0.70710678, 0.70710678, SpectralDensity("flat", gamma=1.0), time_end=30.0,
+                            time_steps=301) if name == "late_flat_bell" else figure_config(name, time_steps=801))
+        scenario = config.scenario()
+        result = run_sweep(scenario, ("s1s2", "r1r2"), "both", side)
         _, states = state_batch(scenario)
         noise = general_states(np.random.default_rng(6), 1)[0]
         for part in ("s1s2", "r1r2"):
-            ref = closed.series(part, "closed_form", "classical")
-            rhos = reduced_batch(states, part)
-            values, _, _ = classical_correlation_batch(rhos)
-            assert np.abs(values - ref).max() < 1e-12
-            mixed = (1.0 - 1e-14) * rhos + 1e-14 * noise
+            for measure in ("classical", "quantum"):
+                off = np.abs(result.series(part, "brute_force", measure) - result.series(part, "closed_form", measure))
+                assert off.max() < 1e-12, f"{part} {measure}: off by {off.max():.3e} at step {off.argmax()}"
+            ref = result.series(part, "closed_form", "classical")
+            mixed = (1.0 - 1e-14) * reduced_batch(states, part) + 1e-14 * noise
             assert not np.any(np.all(mixed[:, _OFF_X] == 0.0, axis=1))
-            values, _, _ = classical_correlation_batch(mixed)
+            values, _, _ = classical_correlation_batch(mixed, side)
             assert (values - ref).max() <= 1e-12
 
     def test_nonnegative_and_bounded(self):
