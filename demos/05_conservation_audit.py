@@ -52,7 +52,7 @@ print()
 
 out = Path("demo_output")
 csv_path = emit_csv(result, out / "conservation_sweep.csv")
-svg_path = emit_svg_plot(result, ("quantum", "classical"), out / "conservation_sweep.svg")
+svg_path = emit_svg_plot(result, out / "conservation_sweep.svg")
 print(f"wrote {csv_path}")
 print(f"wrote {svg_path}")
 print("(the four reference-figure datasets come from `spinboson figures --out DIR`)")

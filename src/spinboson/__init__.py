@@ -52,7 +52,6 @@ from .io import (
     emit_svg_plot,
     figure_config,
     parse_config,
-    serialize_config,
 )
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ def _cmd_sweep(args) -> int:
     csv_path = emit_csv(result, out_dir / "sweep.csv")
     print(csv_path)
     if cfg.svg:
-        svg_path = emit_svg_plot(result, ("quantum", "classical"), out_dir / "sweep.svg")
+        svg_path = emit_svg_plot(result, out_dir / "sweep.svg")
         print(svg_path)
     return 0
 

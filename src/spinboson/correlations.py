@@ -308,15 +308,15 @@ def _floor_roundoff(values: np.ndarray, who: str) -> np.ndarray:
 
 
 def _check_unit_interval(who: str, **kwargs) -> tuple:
-    """Arguments as floats clipped to [0, 1], in order, with xi2 + chi2 = 1 checked."""
+    """Arguments as floats clipped to [0, 1], in order, with xi2 + chi2 = 1 checked; NaN fails both."""
     out = {}
     for name, val in kwargs.items():
         v = np.asarray(val, dtype=float)
-        bad = (v < -1e-12) | (v > 1.0 + 1e-12)
+        bad = ~((v >= -1e-12) & (v <= 1.0 + 1e-12))
         if bad.any():
             raise ValueError(f"{who}: {name} = {float(v[bad][0])!r} outside [0, 1]")
         out[name] = np.clip(v, 0.0, 1.0)
-    if np.any(np.abs(out["xi2"] + out["chi2"] - 1.0) > 1e-10):
+    if not np.all(np.abs(out["xi2"] + out["chi2"] - 1.0) <= 1e-10):
         raise ValueError(f"{who}: xi2 + chi2 must be 1")
     return tuple(out.values())
 
@@ -438,6 +438,14 @@ def concurrence_wootters(rho: np.ndarray) -> float:
     return float(concurrence_batch(rho[None])[0])
 
 
+def _check_concurrence_args(who: str, alpha, beta, xi, chi) -> None:
+    """|alpha|^2 + |beta|^2 = 1 within 1e-10, as in Scenario, and xi^2, chi^2 as by _check_unit_interval."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(norm - 1.0) <= 1e-10:
+        raise ValueError(f"{who}: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")
+    _check_unit_interval(who, xi2=np.square(xi), chi2=np.square(chi))
+
+
 def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, chi: float) -> float:
     """Closed-form spin-pair concurrence for the evolving families.
 
@@ -446,6 +454,7 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
     one_exc: 2 * |alpha beta| xi^2, strictly positive while xi is nonzero.
     Normalised so the spin-flip (Wootters) value of a Bell state is 1.
     """
+    _check_concurrence_args("concurrence_closed", alpha, beta, xi, chi)
     ab = abs(alpha) * abs(beta)
     x2 = xi * xi
     if family == "two_exc":
@@ -457,4 +466,5 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
 
 def concurrence_closed_reservoirs(family: str, alpha: complex, beta: complex, xi: float, chi: float) -> float:
     """Closed-form reservoir-pair concurrence (spin formulas with xi <-> chi)."""
+    _check_concurrence_args("concurrence_closed_reservoirs", alpha, beta, xi, chi)
     return concurrence_closed(family, alpha, beta, chi, np.abs(xi))

@@ -34,7 +34,7 @@ from .correlations import (
     reservoir_correlations_two_exc,
 )
 from .linalg import binary_entropy
-from .model import PARTITION_ORDER, PARTITIONS, Scenario, amplitude_batch, reduced_batch, state_batch
+from .model import PARTITION_ORDER, PARTITIONS, Scenario, reduced_batch, state_batch
 
 PIPELINES = ("closed_form", "brute_force", "both")
 
@@ -93,9 +93,8 @@ class SweepResult:
         return "brute_force" if any(k[1] == "brute_force" for k in self.values) else "closed_form"
 
 
-def _closed_values(scenario: Scenario, partition: str, amps: np.ndarray):
+def _closed_values(scenario: Scenario, partition: str, xi: np.ndarray, chi: np.ndarray):
     """Closed-form (C, Q, concurrence) arrays over the grid for one partition."""
-    xi, chi = amps[:, 0], amps[:, 1]
     xi2, chi2 = xi**2, np.minimum(chi**2, 1.0)
     alpha, beta, family = scenario.alpha, scenario.beta, scenario.family
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
@@ -152,13 +151,13 @@ def run_sweep(
 
     times = scenario.time_grid
     # the closed forms read only the amplitudes
-    amps, states = (amplitude_batch(scenario), None) if pipeline == "closed_form" else state_batch(scenario)
+    (xi, chi), states = (scenario.spectral.amplitudes(times), None) if pipeline == "closed_form" else state_batch(scenario)
 
     def eval_range(lo: int, hi: int) -> dict:
         out = {}
         for part in partitions:
             if pipeline in ("closed_form", "both") and part in CLOSED_FORM_PARTITIONS:
-                cs, qs, cons = _closed_values(scenario, part, amps[lo:hi])
+                cs, qs, cons = _closed_values(scenario, part, xi[lo:hi], chi[lo:hi])
                 out[part, "closed_form"] = (cs + qs, cs, qs, cons)
         if pipeline in ("brute_force", "both"):
             # one call per measure on the reduced states of every partition

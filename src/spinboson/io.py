@@ -228,30 +228,6 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical JSON for a RunConfig; parse_config inverts it exactly."""
-    spectral: dict = {"kind": cfg.spectral.kind}
-    if cfg.spectral.kind == "flat":
-        spectral["gamma"] = cfg.spectral.gamma
-    else:
-        spectral["W"] = cfg.spectral.W
-        spectral["lambda"] = cfg.spectral.lam
-    doc = {
-        "family": cfg.family,
-        "alpha_re": cfg.alpha.real, "alpha_im": cfg.alpha.imag,
-        "beta_re": cfg.beta.real, "beta_im": cfg.beta.imag,
-        "spectral": spectral,
-        "time_start": cfg.time_start, "time_end": cfg.time_end, "time_steps": cfg.time_steps,
-        "partitions": list(cfg.partitions),
-        "pipeline": cfg.pipeline,
-        "grid": cfg.grid, "refine_iters": cfg.refine_iters,
-        "side": cfg.side, "svg": cfg.svg,
-    }
-    if cfg.out_dir is not None:
-        doc["out_dir"] = cfg.out_dir
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _atomic_write(path: Path, data) -> None:
     """Write a string, or an iterable of string chunks, to ``path`` via a temp file and ``os.replace``."""
     path = Path(path)
@@ -301,6 +277,7 @@ def emit_csv(result: SweepResult, path) -> Path:
 
 _PANEL_PARTITIONS = ("s1s2", "r1r2", "s1r1", "s1r2")
 
+_PLOT_MEASURES = ("quantum", "classical")
 _PRIMARY_STYLE = {"quantum": ("#2040c8", "diamond"), "classical": ("#c030b8", "square")}
 _OVERLAY_STYLE = {"quantum": ("#303030", "triangle"), "classical": ("#d03030", "circle")}
 
@@ -318,8 +295,8 @@ def _marker(shape: str, x: float, y: float, color: str, size: float = 3.2) -> st
     return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{s:.2f}" fill="{color}"/>'
 
 
-def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult | None = None) -> Path:
-    """Render a 2x2-panel static SVG of the sweep.
+def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None) -> Path:
+    """Render a 2x2-panel static SVG of the sweep's quantum and classical correlations.
 
     Panels follow the spin pair, the reservoir pair and the two mixed
     spin/reservoir pairs in that order, restricted to partitions the sweep
@@ -329,12 +306,10 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
     """
     if not result.values:
         raise ValueError("emit_svg_plot: empty sweep")
-    measures = tuple(measure_set)
     present = {part for part, _, _ in result.values}
     panels = [p for p in _PANEL_PARTITIONS if p in present]
     if not panels:
         panels = [p for p in PARTITION_ORDER if p in present]
-    panels = panels[:4]
 
     width, height = 880, 640
     pw, ph = 380, 250
@@ -364,7 +339,7 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
             sources.append((overlay, _OVERLAY_STYLE))
         ymax = 0.0
         for src, _ in sources:
-            for meas in measures:
+            for meas in _PLOT_MEASURES:
                 vals = src.series(part, src.main_pipeline(), meas)
                 if vals.size:
                     ymax = max(ymax, float(vals.max()))
@@ -399,11 +374,11 @@ def emit_svg_plot(result: SweepResult, measure_set, path, overlay: SweepResult |
 
         for src, style in sources:
             src_times = src.times()
-            for meas in measures:
+            for meas in _PLOT_MEASURES:
                 vals = src.series(part, src.main_pipeline(), meas)
                 if not vals.size:
                     continue
-                color, shape = style.get(meas, ("#208020", "circle"))
+                color, shape = style[meas]
                 if vals.size >= 2:
                     xy = np.column_stack((sx(src_times), sy(vals))).ravel().tolist()
                     d = "M " + " L ".join(["%.2f %.2f"] * vals.size) % tuple(xy)
@@ -467,7 +442,5 @@ def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
             for weights in (_BELL, _LOPSIDED)
         )
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))
-        paths.append(
-            emit_svg_plot(res, ("quantum", "classical"), out_dir / f"{name}.svg", overlay=res_overlay)
-        )
+        paths.append(emit_svg_plot(res, out_dir / f"{name}.svg", overlay=res_overlay))
     return paths

@@ -52,16 +52,16 @@ def require_state(rho: np.ndarray, who: str, dim: int | None = None) -> tuple[np
 def binary_entropy(x):
     """Shannon entropy of a binary distribution, in bits.
 
-    Accepts a scalar or array in [0, 1]; endpoints give 0 by the usual
-    0 log 0 = 0 convention.  Inputs outside the interval by less than
-    1e-12 are clamped, anything further out is rejected.
+    Accepts a scalar or array in [0, 1]; endpoints give 0 (0 log 0 = 0)
+    and NaN stays NaN.  Inputs outside the interval by less than 1e-12
+    are clamped, anything further out is rejected.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("binary_entropy: argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     out = np.zeros_like(arr)
-    mask = (arr > 0.0) & (arr < 1.0)
+    mask = (arr != 0.0) & (arr != 1.0)
     xm = arr[mask]
     # log1p keeps the (1-x) term accurate when x is close to 0 or 1
     out[mask] = -xm * np.log2(xm) - (1.0 - xm) * (np.log1p(-xm) / np.log(2.0))

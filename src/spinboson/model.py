@@ -213,16 +213,11 @@ def reduced_batch(states: np.ndarray, partition: str) -> np.ndarray:
     return np.einsum("nij,nkj->nik", m, m.conj())
 
 
-def amplitude_batch(scenario: Scenario) -> np.ndarray:
-    """The (xi, chi) pairs over a scenario's whole grid, shape (T, 2)."""
-    return np.stack(scenario.spectral.amplitudes(scenario.time_grid), axis=1)
-
-
-def state_batch(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def state_batch(scenario: Scenario) -> tuple[Amplitudes, np.ndarray]:
     """Evolve a scenario over its whole grid.
 
-    Returns the (T, 2) amplitude pairs of :func:`amplitude_batch` and the
-    (T, 16) stack of pure states.
+    Returns the :class:`Amplitudes` pair of (T,) arrays and the (T, 16)
+    stack of pure states.
     """
-    amps = amplitude_batch(scenario)
-    return amps, pure_state(scenario.family, scenario.alpha, scenario.beta, amps.T)
+    amps = scenario.spectral.amplitudes(scenario.time_grid)
+    return amps, pure_state(scenario.family, scenario.alpha, scenario.beta, amps)

@@ -877,13 +877,25 @@ class TestClosedFormArrays:
 
     @pytest.mark.parametrize("fn,weight", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
     @pytest.mark.parametrize("position", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [-0.2, 1.2])
+    @pytest.mark.parametrize("bad", [-0.2, 1.2, np.nan])
     def test_out_of_range_entry_named(self, fn, weight, position, bad):
         args = [np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5)]
         args[position][3] = bad
         name = (weight, "xi2", "chi2")[position]
         with pytest.raises(ValueError, match=name):
             fn(*args)
+
+    @pytest.mark.parametrize("fn", [concurrence_closed, concurrence_closed_reservoirs])
+    @pytest.mark.parametrize("args,name", [
+        ((1.0, 1.0, 1.0, 0.0), "alpha"),
+        ((np.nan, 0.0, 1.0, 0.0), "alpha"),
+        ((*BELL, np.array([1.0, 2.0]), np.array([0.0, 0.0])), "xi2"),
+        ((*BELL, 1.0, np.nan), "chi2"),
+    ], ids=["unnormalised", "nan_weight", "xi_above_one", "nan_chi"])
+    def test_concurrence_bad_entry_named(self, fn, args, name):
+        # concurrence_closed("one_exc", 1.0, 1.0, 2.0, 0.0) used to return 8.0
+        with pytest.raises(ValueError, match=f"{fn.__name__}: .*{name}"):
+            fn("one_exc", *args)
 
     @pytest.mark.parametrize("fn", [f for f, _ in CLOSED_FORMS], ids=lambda f: f.__name__)
     def test_unnormalised_entry_named(self, fn):

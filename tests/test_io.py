@@ -35,7 +35,6 @@ from spinboson.io import (
     emit_svg_plot,
     figure_config,
     parse_config,
-    serialize_config,
 )
 from spinboson.model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
 
@@ -139,20 +138,6 @@ class TestParseConfig:
             parse_config(json.dumps(bell_doc(side="both")))
         with pytest.raises(ValueError, match="grid"):
             parse_config(json.dumps(bell_doc(grid=0)))
-
-    def test_round_trip(self):
-        for doc in (
-            bell_doc(),
-            bell_doc(
-                spectral={"kind": "lorentz", "W": 3.5, "lambda": 0.7},
-                side="first",
-                pipeline="brute",
-                svg=True,
-                out_dir="results",
-            ),
-        ):
-            cfg = parse_config(json.dumps(doc))
-            assert parse_config(serialize_config(cfg)) == cfg
 
     def test_scenario_times_dimensionless(self):
         cfg = parse_config(json.dumps(bell_doc(time_end=2.0)))
@@ -360,7 +345,6 @@ def valid_configs(draw):
 @given(valid_configs())
 def test_checking_a_valid_config_again_changes_nothing(cfg):
     # RunConfig renormalises the weights once; doing it again must be a no-op
-    assert parse_config(serialize_config(cfg)) == cfg
     assert replace(cfg) == cfg
     assert abs(abs(cfg.alpha) ** 2 + abs(cfg.beta) ** 2 - 1.0) < 1e-13
 
@@ -417,7 +401,7 @@ class TestEmitCsv:
 
 class TestEmitSvg:
     def test_panels_present(self, small_sweep, tmp_path):
-        path = emit_svg_plot(small_sweep, ("quantum", "classical"), tmp_path / "p.svg")
+        path = emit_svg_plot(small_sweep, tmp_path / "p.svg")
         text = path.read_text()
         assert text.startswith("<svg")
         assert "s1s2" in text and "r1r2" in text
@@ -427,7 +411,7 @@ class TestEmitSvg:
     def test_single_point_markers_only(self, tmp_path):
         sc = Scenario("two_exc", 0.6, 0.8, SpectralDensity("flat", gamma=1.0), np.array([1.0]))
         res = run_sweep(sc, ("s1s2",), "closed_form")
-        text = emit_svg_plot(res, ("quantum", "classical"), tmp_path / "p.svg").read_text()
+        text = emit_svg_plot(res, tmp_path / "p.svg").read_text()
         assert "<path" not in text
         assert "<polygon" in text or "<rect" in text
 
@@ -436,11 +420,11 @@ class TestEmitSvg:
 
         empty = SweepResult(small_sweep.scenario, {}, "second")
         with pytest.raises(ValueError, match="empty"):
-            emit_svg_plot(empty, ("quantum",), tmp_path / "p.svg")
+            emit_svg_plot(empty, tmp_path / "p.svg")
 
     def test_deterministic(self, small_sweep, tmp_path):
-        a = emit_svg_plot(small_sweep, ("quantum", "classical"), tmp_path / "a.svg")
-        b = emit_svg_plot(small_sweep, ("quantum", "classical"), tmp_path / "b.svg")
+        a = emit_svg_plot(small_sweep, tmp_path / "a.svg")
+        b = emit_svg_plot(small_sweep, tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -513,7 +497,7 @@ class TestEmitBytes:
     def test_svg_paths_match_reference(self, tmp_path):
         times = np.sort(np.concatenate([np.abs(AWKWARD[1:]), [0.0], np.linspace(2.0, 3.0, 1100)]))
         res = awkward_result(times)
-        text = emit_svg_plot(res, ("quantum", "classical"), tmp_path / "p.svg").read_text()
+        text = emit_svg_plot(res, tmp_path / "p.svg").read_text()
         paths = [line.split('"')[1] for line in text.splitlines() if line.startswith("<path ")]
         assert paths == reference_paths(res, ("quantum", "classical"))
         assert len(paths) == 6

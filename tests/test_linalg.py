@@ -115,3 +115,6 @@ class TestBinaryEntropy:
             binary_entropy(-0.001)
         # within clamp width
         assert binary_entropy(1.0 + 5e-13) == 0.0
+        # NaN stays NaN rather than reading as an endpoint's 0
+        assert np.isnan(binary_entropy(np.nan))
+        assert np.array_equal(binary_entropy(np.array([0.5, np.nan])), [1.0, np.nan], equal_nan=True)

@@ -135,10 +135,10 @@ class TestArrayAmplitudes:
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
     def test_state_batch_stacks_pure_states(self, family):
         sc = Scenario(family, 0.6, 0.8j, SpectralDensity("lorentz", W=RATIO, lam=1.0), np.linspace(0.0, 2.0, 21))
-        amps, states = state_batch(sc)
-        assert amps.shape == (21, 2) and states.shape == (21, 16)
-        for a, psi in zip(amps, states):
-            assert np.array_equal(pure_state(family, 0.6, 0.8j, Amplitudes(*a)), psi)
+        (xi, chi), states = state_batch(sc)
+        assert xi.shape == chi.shape == (21,) and states.shape == (21, 16)
+        for x, c, psi in zip(xi, chi, states):
+            assert np.array_equal(pure_state(family, 0.6, 0.8j, Amplitudes(x, c)), psi)
 
 
 def two_exc_reduced_expected(alpha, beta, xi, chi):
