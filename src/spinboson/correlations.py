@@ -14,8 +14,9 @@ steps in the tangent plane at the mesh's best axis.  X states, whose
 eight entries off the diagonal and the anti-diagonal are exactly zero
 (every partition of both families is one at every time), scan a single
 azimuth, which follows in closed form from the state's correlation
-matrix.  The test is for exact zeros, so a state with round-off in those
-entries scans every azimuth.
+matrix, and take their concurrence in closed form from their entries;
+other states take Wootters' spin-flip route.  The test is for exact
+zeros, so a state with round-off in those entries takes the general ones.
 
 The measurement class is restricted to rank-1 projective measurements.
 General POVMs never beat them for any state handled here (the closed-form
@@ -106,14 +107,14 @@ def classical_correlation_batch(rhos: np.ndarray, side: str = "second", grid: in
     Scans an m x m mesh of the upper hemisphere, m = max(12, grid // 4):
     polar angles theta in [0, pi/2] times azimuths phi in [0, 2 pi).  From
     its best axis it takes 2 ``refine_iters`` Newton steps in the tangent
-    plane, each scoring a 3 x 3 stencil and one trial axis: m^2 + 20
-    ``refine_iters`` axes.  States whose eight entries off the diagonal and
-    the anti-diagonal are exactly zero (X states) scan ``grid`` polar angles
-    at one azimuth, known in closed form, and step in the polar direction
-    only, 3 + 1 axes a step: grid + 8 ``refine_iters`` axes.  The search is
-    deterministic and each state's result is independent of its batch: each
-    scan covers as many states as fit in ``_SLICE_AXES`` axes, and at least
-    one.
+    plane, each scoring the 3 x 3 stencil centred on its trial axis: m^2 +
+    9 (2 ``refine_iters`` + 1) axes.  States whose eight entries off the
+    diagonal and the anti-diagonal are exactly zero (X states) scan ``grid``
+    polar angles at one azimuth, known in closed form, and step in the polar
+    direction only, 3 axes a step: grid + 3 (2 ``refine_iters`` + 1) axes.
+    The search is deterministic and each state's result is independent of
+    its batch: each scan covers as many states as fit in ``_SLICE_AXES``
+    axes, and at least one.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
@@ -124,12 +125,15 @@ def classical_correlation_batch(rhos: np.ndarray, side: str = "second", grid: in
         raise ValueError("classical_correlation: grid must be >= 2 and refine_iters >= 0")
     rhos = np.asarray(rhos, dtype=complex)
     values, thetas, phis = np.empty((3, len(rhos)))
-    is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
-    for x_states in (True, False):
-        rows = np.flatnonzero(is_x == x_states)
-        if rows.size:
-            values[rows], thetas[rows], phis[rows] = _cc_mesh(rhos[rows], side, grid, refine_iters, x_states)
+    for x_states, rows, sub in _split_x(rhos):
+        values[rows], thetas[rows], phis[rows] = _cc_mesh(sub, side, grid, refine_iters, x_states)
     return values, thetas, phis
+
+
+def _split_x(rhos):
+    """(is_x, rows, states) for the X states, exactly zero at ``_OFF_X``, then the rest; empty groups are left out."""
+    is_x = np.all(rhos[:, _OFF_X] == 0.0, axis=1)
+    return [(x, rows, rhos[rows]) for x in (True, False) if (rows := np.flatnonzero(is_x == x)).size]
 
 
 def _cc_mesh(rhos, side, grid, refine_iters, x_states):
@@ -144,11 +148,11 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     upper hemisphere.  The steps work in the chart n = (n0 + u e1 + w e2) /
     sqrt(1 + u^2 + w^2) at the mesh's best axis n0, with (e1, e2) the
     (theta, phi) frame of n0.  Each reads the gradient g and Hessian H in
-    (u, w) from central differences and tries -H^-1 g where H is negative
-    definite, else g, no longer than a trust radius; the trial is kept only
-    if it scores strictly higher, and a rejected one quarters the radius.
-    Away from an empty branch the objective is smooth, so the steps converge
-    quadratically.
+    (u, w) from a central-difference stencil and tries -H^-1 g where H is
+    negative definite, else g, no longer than a trust radius.  The trial is
+    the centre of its own stencil, kept, with that stencil, only if it scores
+    strictly higher; a rejected one quarters the radius.  Away from an empty
+    branch the objective is smooth, so the steps converge quadratically.
 
     With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
     is block diagonal, so p+- does not depend on phi and the best phi
@@ -156,7 +160,7 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     top eigenvector of G's xy block, is the only azimuth of the mesh (Chen
     et al., PRA 84, 042313 (2011)), and the steps keep w = 0.
 
-    Every axis, of the mesh, a stencil or a trial, is scored one way: from
+    Every axis, of the mesh or a stencil, is scored one way: from
     b.n and the three components of T n, with |a +- T n| summed from its
     components.  The mesh takes b.e and T e of the frame at the pole, turned
     by the X-state azimuth, and gives each of its axes the coefficients
@@ -198,25 +202,24 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
         best_i[sel] = np.argmax(_objective(s_est[sel], a[:, sel], np.einsum("nkj,ja->kna", proj[sel], coeffs)), axis=1)
 
     axes, proj = frame(theta[best_i], spin + phi[best_i])
-
-    def direct(sel, u, w):
-        """The objective at chart points (u, w), each (states, points)."""
-        norm = np.sqrt(1.0 + u * u + w * w)
-        return _objective(s_est[sel], a[:, sel],
-                          [(v[:, :1] + u * v[:, 1:2] + w * v[:, 2:]) / norm for v in np.moveaxis(proj[sel], 1, 0)])
-
     # the central-difference stencil: 3 x 3 points, 3 x 1 for X states
     ticks = np.array([-_H, 0.0, _H])
     du, dw = (x.ravel() for x in np.meshgrid(ticks, ticks[1:2] if x_states else ticks, indexing="ij"))
-    uw = np.zeros((n, 2))
-    best_v = direct(slice(None), uw[:, :1], uw[:, 1:])[:, 0]
-    # the trust radius: one polar mesh step, quartered on every rejected trial
-    radius = np.full(n, 0.5 * np.pi / (rows - 1))
-    for sel in slices(len(du) + 1):
+
+    def stencil(sel, at):
+        """The objective on the stencil around chart points ``at``, (states, 3, 3 or 1); the centre scores at itself."""
+        u, w = at[:, :1] + du, at[:, 1:] + dw
+        norm = np.sqrt(1.0 + u * u + w * w)
+        return _objective(s_est[sel], a[:, sel], [(v[:, :1] + u * v[:, 1:2] + w * v[:, 2:]) / norm
+                                                  for v in np.moveaxis(proj[sel], 1, 0)]).reshape(len(at), 3, -1)
+
+    # the chart point, its value, and the trust radius: one polar mesh step, quartered on every rejected trial
+    uw, best_v, radius = np.zeros((n, 2)), np.empty(n), np.full(n, 0.5 * np.pi / (rows - 1))
+    for sel in slices(len(du)):
+        f = stencil(sel, uw[sel])
+        m = f.shape[2] // 2
         for _ in range(2 * refine_iters):
             r = radius[sel]
-            f = direct(sel, uw[sel, :1] + du, uw[sel, 1:] + dw).reshape(len(r), 3, -1)
-            m = f.shape[2] // 2
             gu, huu = (f[:, 2, m] - f[:, 0, m]) / (2.0 * _H), (f[:, 2, m] - 2.0 * f[:, 1, m] + f[:, 0, m]) / _H**2
             # X states move along u only: no slope along w, and a curvature that keeps Newton's w at 0
             gw, hww, huw = (0.0, -1.0, 0.0) if x_states else (
@@ -229,11 +232,12 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
             step = np.stack([np.where(newton, (huw * gw - hww * gu) / det, gu * scale),
                              np.where(newton, (huw * gu - huu * gw) / det, gw * scale)], -1)
             trial = uw[sel] + step * (r / np.maximum(np.hypot(step[:, 0], step[:, 1]), r))[:, None]
-            value = direct(sel, trial[:, :1], trial[:, 1:])[:, 0]
-            # only a strictly better trial moves the point
-            better = value > best_v[sel]
-            best_v[sel], radius[sel] = np.where(better, value, best_v[sel]), np.where(better, r, 0.25 * r)
+            f_trial = stencil(sel, trial)
+            # only a strictly better trial moves the point; a rejected one leaves it and its stencil as they were
+            better = f_trial[:, 1, m] > f[:, 1, m]
+            radius[sel], f = np.where(better, r, 0.25 * r), np.where(better[:, None, None], f_trial, f)
             uw[sel] = np.where(better[:, None], trial, uw[sel])
+        best_v[sel] = f[:, 1, m]
 
     axis = (axes[:, 0] + uw[:, :1] * axes[:, 1] + uw[:, 1:] * axes[:, 2]) / np.sqrt(
         1.0 + uw[:, :1] * uw[:, :1] + uw[:, 1:] * uw[:, 1:])
@@ -417,19 +421,25 @@ def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tu
 def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
     """Wootters concurrence for a stack of two-qubit states.
 
-    C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), where the
-    lambdas, the square roots of the eigenvalues of rho rho~, are the
-    singular values of tau = W^T (sigma_y x sigma_y) W with rho = W W^dagger
-    and W = V diag(sqrt(p)) from rho's eigensystem (Wootters, PRL 80, 2245
-    (1998)).  Singular values carry round-off of the largest only, so no
-    threshold is put on them.
+    X states (exact zeros off the diagonal and the anti-diagonal) take the
+    exact 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
+    (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).  The rest take max(0,
+    lambda_1 - lambda_2 - lambda_3 - lambda_4), with the lambdas the singular
+    values of tau = W^T (sigma_y x sigma_y) W, rho = W W^dagger and W = V
+    diag(sqrt(p)) from rho's eigensystem (Wootters, PRL 80, 2245 (1998)).
     """
-    vals, vecs = np.linalg.eigh(np.asarray(rhos, dtype=complex))
-    # negative round-off has no square root; any positive weight is kept, as
-    # a small genuine one moves the lambdas by more than noise does
-    w = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
-    lam = np.linalg.svd(np.swapaxes(w, 1, 2) @ _SPIN_FLIP @ w, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    rhos, out = np.asarray(rhos, dtype=complex), np.empty(len(rhos))
+    for x_states, rows, r in _split_x(rhos):
+        if x_states:  # a product of round-off-negative weights is clipped at 0
+            d = np.maximum(r[:, [1, 0], [1, 0]].real * r[:, [2, 3], [2, 3]].real, 0.0)
+            out[rows] = 2.0 * np.maximum(0.0, (np.abs(r[:, [0, 1], [3, 2]]) - np.sqrt(d)).max(axis=1))
+        else:
+            vals, vecs = np.linalg.eigh(r)
+            # negative round-off has no root; a small positive weight is genuine and moves the lambdas
+            w = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+            lam = np.linalg.svd(np.swapaxes(w, 1, 2) @ _SPIN_FLIP @ w, compute_uv=False)
+            out[rows] = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return out
 
 
 def concurrence_wootters(rho: np.ndarray) -> float:

@@ -390,7 +390,7 @@ class TestConcurrence:
 
     @staticmethod
     def wootters_gap(family, partition, amps):
-        """Largest |Wootters - closed form| concurrence on a grid, over three weights."""
+        """Largest |concurrence_batch - closed form| on a grid, over three weights (X states: the exact formula)."""
         closed = concurrence_closed if partition == "s1s2" else concurrence_closed_reservoirs
         gap = 0.0
         for b2 in (0.1, 0.5, 0.9):
@@ -401,35 +401,37 @@ class TestConcurrence:
 
     @pytest.mark.parametrize("grid", ["flat_6", "flat_40", "lorentz_30"])
     def test_closed_matches_wootters_two_exc(self, grid):
-        assert self.wootters_gap("two_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-12
+        assert self.wootters_gap("two_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-15
 
     @pytest.mark.parametrize("grid", ["lorentz_1.5", "flat_40", "lorentz_30"])
     def test_closed_matches_wootters_one_exc(self, grid):
-        assert self.wootters_gap("one_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-12
+        assert self.wootters_gap("one_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-15
 
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
     @pytest.mark.parametrize("grid", ["flat_3", "flat_40", "lorentz_30"])
     def test_reservoir_closed_matches_wootters(self, family, grid):
-        assert self.wootters_gap(family, "r1r2", WOOTTERS_GRIDS[grid]) < 1e-12
+        assert self.wootters_gap(family, "r1r2", WOOTTERS_GRIDS[grid]) < 1e-15
 
     @pytest.mark.parametrize("partition", ["s1r1", "s1r2", "s2r1", "s2r2"])
     def test_matches_x_state_formula_on_mixed_pairs(self, partition):
-        # every model state is an X state, whose concurrence is
-        # 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44));
-        # s1r2 states carry genuine weights ~1e-14 next to ones near 1/2, and
-        # a cut at 1e-13 of the largest weight puts one (Lorentzian two_exc,
-        # lambda t = 1.225) 2.9e-7 off.  The eigensolver's absolute error in
-        # weights near 1e-16 still moves the lambdas by up to ~1.4e-8
+        # a fixed local unitary u x v keeps the concurrence but makes the
+        # model's X states general ones, so the turned stack takes Wootters'
+        # route and the untouched one the X-state formula.  s1r2 states carry
+        # genuine weights ~1e-14 next to ones near 1/2, and a cut at 1e-13 of
+        # the largest weight puts one (Lorentzian two_exc, lambda t = 1.225)
+        # 2.9e-7 off.  The eigensolver's absolute error in weights near 1e-16
+        # still moves the lambdas by up to ~1.4e-8
+        rng = np.random.default_rng(17)
+        uv = np.kron(random_unitary(rng), random_unitary(rng))
         worst = 0.0
         for family in ("two_exc", "one_exc"):
             for grid in ("flat_40", "lorentz_30"):
                 for b2 in (0.1, 0.5, 0.9):
                     psi = pure_state(family, math.sqrt(1.0 - b2), math.sqrt(b2), WOOTTERS_GRIDS[grid])
                     r = reduced_batch(psi, partition)
-                    x = 2.0 * np.maximum(0.0, np.maximum(
-                        np.abs(r[:, 0, 3]) - np.sqrt(r[:, 1, 1].real * r[:, 2, 2].real),
-                        np.abs(r[:, 1, 2]) - np.sqrt(r[:, 0, 0].real * r[:, 3, 3].real)))
-                    worst = max(worst, np.abs(concurrence_batch(r) - x).max())
+                    turned = uv @ r @ uv.conj().T
+                    assert not np.any(np.all(turned[:, _OFF_X] == 0.0, axis=1))
+                    worst = max(worst, np.abs(concurrence_batch(turned) - concurrence_batch(r)).max())
         assert worst < 1e-7
 
     def test_one_exc_never_dies(self):
@@ -792,14 +794,19 @@ class TestBatchComposition:
                 rhos += [reduced_batch(states, p) for p in PARTITION_ORDER]
         return np.concatenate(rhos)
 
-    @pytest.mark.parametrize("kind", ["general", "model_x"])
+    @pytest.mark.parametrize("kind", ["general", "model_x", "mixed"])
     @pytest.mark.parametrize("measure", [mutual_information_batch, concurrence_batch])
     def test_batch_reversed_and_single_states_agree_bitwise(self, kind, measure):
         if kind == "general":
             rhos = general_states(np.random.default_rng(31), 40)
-        else:
+        elif kind == "model_x":
             rhos = self.model_states()
             assert np.all(rhos[:, _OFF_X] == 0.0)
+        else:
+            # general and X states interleaved: each kind takes its own route
+            rhos = np.empty((80, 4, 4), dtype=complex)
+            rhos[0::2], rhos[1::2] = general_states(np.random.default_rng(33), 40), self.model_states()[::4][:40]
+            assert np.count_nonzero(np.all(rhos[:, _OFF_X] == 0.0, axis=1)) == 40
         batch = measure(rhos)
         assert batch.shape == (len(rhos),)
         assert np.array_equal(measure(rhos[::-1])[::-1], batch)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinboson.correlations import (
+    _OFF_X,
     SIDES,
     classical_correlation_batch,
     concurrence_batch,
@@ -48,6 +49,19 @@ def unitaries(draw):
     a, b, c, d = (draw(angles) for _ in range(4))
     ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
     return np.exp(1j * d) * np.diag(np.exp([-0.5j * a, 0.5j * a])) @ ry @ np.diag(np.exp([-0.5j * c, 0.5j * c]))
+
+
+@st.composite
+def x_states(draw):
+    """Positive X states: weights p, coherences |rho14| <= sqrt(p1 p4) and |rho23| <= sqrt(p2 p3)."""
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    assume(p.sum() > 1e-3)
+    p = p / p.sum()
+    rho = np.diag(p).astype(complex)
+    for j, k in ((0, 3), (1, 2)):
+        z = np.sqrt(p[j] * p[k]) * draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(angles))
+        rho[j, k], rho[k, j] = z, np.conj(z)
+    return rho
 
 
 def entropy(m):
@@ -93,3 +107,31 @@ def test_local_unitary_invariance(rho, u, v, side):
     uv = np.kron(u, v)
     rotated = uv @ rho @ uv.conj().T
     assert abs(classical(rotated, side) - classical(rho, side)) < 1e-6
+
+
+@PROPERTY
+@given(x_states(), unitaries(), unitaries())
+def test_x_state_concurrence_matches_wootters_route(rho, u, v):
+    # a local unitary keeps the concurrence; the turned state is no longer an
+    # X state, so it takes Wootters' route, within the eigensolver's slack
+    uv = np.kron(u, v)
+    turned = uv @ rho @ uv.conj().T
+    assume(not np.all(turned[_OFF_X] == 0.0))
+    c = concurrence_batch(rho[None])[0]
+    assert 0.0 <= c <= 1.0
+    assert abs(concurrence_batch(turned[None])[0] - c) < 1e-7
+
+
+@PROPERTY
+@given(st.lists(entries, min_size=4, max_size=4), st.booleans())
+def test_pure_x_state_concurrence(x, parallel):
+    # a|00> + d|11> has concurrence 2|ad|, and b|01> + c|10> has 2|bc|
+    z = np.array(x[:2]) + 1j * np.array(x[2:])
+    norm = np.linalg.norm(z)
+    assume(norm > 1e-3)
+    z = z / norm
+    psi = np.zeros(4, dtype=complex)
+    psi[[0, 3] if parallel else [1, 2]] = z
+    rho = np.outer(psi, psi.conj())
+    assert np.all(rho[_OFF_X] == 0.0)
+    assert abs(concurrence_batch(rho[None])[0] - 2.0 * abs(z[0]) * abs(z[1])) < 1e-15
