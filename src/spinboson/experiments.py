@@ -7,8 +7,8 @@ exist: ``closed_form`` (spin pair and reservoir pair only, one array-valued
 closed-form call per partition) and ``brute_force`` (any partition, via
 the measurement optimiser on the stack of reduced states); ``both`` runs
 the two side by side and, when the sweep covers a closed-form partition,
-audits how well they agree.  A sweep's result is one array over the time
-grid per (partition, pipeline, measure).
+audits how well they agree.  A sweep's result is one ``(4, T)`` array over
+the T grid times per (partition, pipeline), one row per measure.
 
 Audits never return bare booleans: each outcome carries the pass flag, a
 worst-case margin and enough numbers to diagnose a regression.
@@ -16,7 +16,6 @@ worst-case margin and enough numbers to diagnose a regression.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,9 +69,10 @@ class AuditOutcome:
 class SweepResult:
     """A sweep's measures over the scenario's time grid.
 
-    ``values[(partition, pipeline, measure)]`` holds one value per grid
-    time for each measure in ``SERIES_MEASURES``.  ``side`` names the qubit
-    the brute-force pipeline measured; the closed forms measure the second.
+    ``values[(partition, pipeline)]`` is a ``(4, T)`` array: one row per
+    measure in ``SERIES_MEASURES`` order, one column per grid time.  ``side``
+    names the qubit the brute-force pipeline measured; the closed forms
+    measure the second.
     """
 
     scenario: Scenario
@@ -81,8 +81,11 @@ class SweepResult:
     audits: list[AuditOutcome] = field(default_factory=list)
 
     def series(self, partition: str, pipeline: str, measure: str) -> np.ndarray:
-        """Time-ordered values of one measure (a copy); empty if the sweep lacks it."""
-        return self.values.get((partition, pipeline, measure), np.empty(0)).copy()
+        """Time-ordered values of one measure (a copy); empty if the sweep did not run the pair."""
+        if measure not in SERIES_MEASURES:
+            raise ValueError(f"series: unknown measure {measure!r}; must be one of {SERIES_MEASURES}")
+        block = self.values.get((partition, pipeline))
+        return np.empty(0) if block is None else block[SERIES_MEASURES.index(measure)].copy()
 
     def times(self) -> np.ndarray:
         """The grid times (a copy)."""
@@ -90,7 +93,7 @@ class SweepResult:
 
     def main_pipeline(self) -> str:
         """``brute_force`` when the sweep ran it (it covers every partition)."""
-        return "brute_force" if any(k[1] == "brute_force" for k in self.values) else "closed_form"
+        return "brute_force" if any(pipe == "brute_force" for _, pipe in self.values) else "closed_form"
 
 
 def _closed_values(scenario: Scenario, partition: str, xi: np.ndarray, chi: np.ndarray):
@@ -131,15 +134,8 @@ def run_sweep(
     side: str = "second",
     grid: int = 64,
     refine_iters: int = 4,
-    workers: int = 1,
 ) -> SweepResult:
-    """Evaluate correlation measures over a scenario's whole time grid.
-
-    ``workers`` > 1 splits the grid into contiguous chunks handled by a
-    thread pool; every state is processed by arithmetic that does not
-    depend on its neighbours, so results are bitwise identical for any
-    worker count.
-    """
+    """Evaluate correlation measures over a scenario's whole time grid in one pass."""
     if pipeline not in PIPELINES:
         raise ValueError(f"run_sweep: pipeline must be one of {PIPELINES}")
     partitions = check_partitions(partitions, "run_sweep")
@@ -152,37 +148,19 @@ def run_sweep(
     times = scenario.time_grid
     # the closed forms read only the amplitudes
     (xi, chi), states = (scenario.spectral.amplitudes(times), None) if pipeline == "closed_form" else state_batch(scenario)
-
-    def eval_range(lo: int, hi: int) -> dict:
-        out = {}
-        for part in partitions:
-            if pipeline in ("closed_form", "both") and part in CLOSED_FORM_PARTITIONS:
-                cs, qs, cons = _closed_values(scenario, part, xi[lo:hi], chi[lo:hi])
-                out[part, "closed_form"] = (cs + qs, cs, qs, cons)
-        if pipeline in ("brute_force", "both"):
-            # one call per measure on the reduced states of every partition
-            rhos = np.concatenate([reduced_batch(states[lo:hi], part) for part in partitions])
-            cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
-            info = mutual_information_batch(rhos)
-            qvals = discord_from(info, cvals)
-            measures = np.stack([info, cvals, qvals, concurrence_batch(rhos)]).reshape(4, len(partitions), -1)
-            for i, part in enumerate(partitions):
-                out[part, "brute_force"] = tuple(measures[:, i])
-        return out
-
-    n = len(times)
-    if workers <= 1 or n < 2 * workers:
-        chunks = [eval_range(0, n)]
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda se: eval_range(*se), zip(bounds[:-1], bounds[1:])))
-
-    values = {
-        (part, pipe, measure): np.concatenate([c[part, pipe][k] for c in chunks])
-        for part, pipe in chunks[0]
-        for k, measure in enumerate(SERIES_MEASURES)
-    }
+    values = {}
+    for part in partitions:
+        if pipeline != "brute_force" and part in CLOSED_FORM_PARTITIONS:
+            cs, qs, cons = _closed_values(scenario, part, xi, chi)
+            values[part, "closed_form"] = np.stack((cs + qs, cs, qs, cons))
+    if pipeline != "closed_form":
+        # one call per measure on the reduced states of every partition
+        rhos = np.concatenate([reduced_batch(states, part) for part in partitions])
+        cvals, _, _ = classical_correlation_batch(rhos, side, grid, refine_iters)
+        info = mutual_information_batch(rhos)
+        measures = np.stack([info, cvals, discord_from(info, cvals), concurrence_batch(rhos)])
+        for part, block in zip(partitions, np.split(measures, len(partitions), axis=1)):
+            values[part, "brute_force"] = block
     result = SweepResult(scenario, values, side)
     if pipeline == "both" and set(partitions) & set(CLOSED_FORM_PARTITIONS):
         result.audits.append(_agreement_audit(result))
@@ -191,16 +169,14 @@ def run_sweep(
 
 def _agreement_audit(result: SweepResult) -> AuditOutcome:
     """Closed-form vs brute-force agreement over the covered partitions."""
-    audited = ("classical", "quantum", "concurrence")
+    audited = SERIES_MEASURES[1:]
     worst = 0.0
     worst_where = ""
     for part in CLOSED_FORM_PARTITIONS:
-        if (part, "closed_form", "classical") not in result.values:
+        if (part, "closed_form") not in result.values:
             continue
-        dev = np.abs(np.stack(
-            [result.series(part, "closed_form", m) - result.series(part, "brute_force", m) for m in audited],
-            axis=1,
-        ))
+        # (T, 3): the two blocks' C, Q and concurrence rows, one row per time
+        dev = np.abs(result.values[part, "closed_form"][1:] - result.values[part, "brute_force"][1:]).T
         # a non-finite deviation is a failed comparison, not a skipped one
         dev[~np.isfinite(dev)] = np.inf
         # the first worst cell in (time, measure) order
@@ -313,17 +289,13 @@ def square_sum_series(result: SweepResult, measure: str) -> np.ndarray:
     """Sum of squared measures over the four non-interacting partitions; others are left out."""
     if measure not in MEASURES:
         raise ValueError(f"square_sum_series: measure must be one of {MEASURES}")
-    present = {part for part, _, _ in result.values}
+    present = {part for part, _ in result.values}
     if not present >= set(SQUARE_SUM_PARTITIONS):
         raise ValueError(
             f"square_sum_series: sweep must cover {SQUARE_SUM_PARTITIONS}, got {sorted(present)}"
         )
-    pipe = result.main_pipeline()
-    total = None
-    for part in SQUARE_SUM_PARTITIONS:
-        vals = result.series(part, pipe, measure)
-        total = vals**2 if total is None else total + vals**2
-    return total
+    pipe, row = result.main_pipeline(), SERIES_MEASURES.index(measure)
+    return sum(result.values[part, pipe][row] ** 2 for part in SQUARE_SUM_PARTITIONS)
 
 
 def square_sum_audit(result: SweepResult, measure: str, tol: float = 1e-9) -> AuditOutcome:

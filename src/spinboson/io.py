@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .correlations import SIDES
 from .experiments import SERIES_MEASURES, SweepResult, check_partitions, run_sweep
 from .model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
 
-CSV_HEADER = "time,partition,pipeline,mutual_info,classical,quantum,concurrence,measured_side"
+CSV_HEADER = ",".join(("time", "partition", "pipeline", *SERIES_MEASURES, "measured_side"))
 
 PIPELINE_NAMES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
@@ -36,10 +37,11 @@ _TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bounds of the integer fields: far above every value the tests,
-# demos and benchmark use.  The optimiser scores max(12, grid / 4)^2 + 20 *
-# refine_iters axes per general state, grid + 8 * refine_iters per X state
-# (at MAX_GRID one state's 64 x 64 mesh fills a correlations._SLICE_AXES scan,
-# so memory does not grow with grid), and a sweep keeps every grid time.
+# demos and benchmark use.  The optimiser scores m^2 + 9 (2 refine_iters + 1)
+# axes per general state, m = max(12, grid / 4), and grid + 3 (2 refine_iters
+# + 1) per X state (at MAX_GRID one state's 64 x 64 mesh fills a
+# correlations._SLICE_AXES scan, so memory does not grow with grid), and a
+# sweep keeps every grid time.
 MAX_TIME_STEPS = 100_001
 MAX_GRID = 256
 MAX_REFINE_ITERS = 20
@@ -253,13 +255,12 @@ def emit_csv(result: SweepResult, path) -> Path:
 
     Rows are ordered by (time, partition, pipeline).
     """
-    pairs = sorted({(part, pipe) for part, pipe, _ in result.values})
+    pairs = sorted(result.values)
     # a grid time's rows: its time string joins the segments, its row of the (T, 4 pairs) stack fills them
     sides = {"brute_force": result.side}
     segments = [""] + [f",{part},{pipe}{',%.12g' * 4},{sides.get(pipe, 'second')}\n" for part, pipe in pairs]
     times = result.times()
-    stack = np.array([result.series(*pair, m) for pair in pairs for m in SERIES_MEASURES])
-    stack = stack.reshape(-1, len(times)).T
+    stack = np.concatenate([result.values[pair] for pair in pairs]).T
 
     def chunks():
         yield CSV_HEADER + "\n"
@@ -306,7 +307,7 @@ def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None)
     """
     if not result.values:
         raise ValueError("emit_svg_plot: empty sweep")
-    present = {part for part, _, _ in result.values}
+    present = {part for part, _ in result.values}
     panels = [p for p in _PANEL_PARTITIONS if p in present]
     if not panels:
         panels = [p for p in PARTITION_ORDER if p in present]
@@ -431,16 +432,16 @@ def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
     """Compute and write the four built-in figure datasets and plots.
 
     Each figure yields one CSV (the Bell-state sweep) and one SVG with the
-    lopsided-weights sweep overlaid.  Output bytes depend only on the
-    configs, not on ``workers``.
+    lopsided-weights sweep overlaid.  The eight independent sweeps run on
+    ``workers`` threads (one for ``workers`` <= 1) and the files are written
+    in order, so output bytes depend only on the configs.
     """
     out_dir = Path(out_dir)
+    configs = [figure_config(name, weights, **overrides) for name in FIGURE_CONFIGS for weights in (_BELL, _LOPSIDED)]
+    with futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        results = list(pool.map(lambda cfg: run_sweep(**cfg.sweep_args()), configs))
     paths: list[Path] = []
-    for name in FIGURE_CONFIGS:
-        res, res_overlay = (
-            run_sweep(**figure_config(name, weights, **overrides).sweep_args(), workers=workers)
-            for weights in (_BELL, _LOPSIDED)
-        )
+    for name, res, res_overlay in zip(FIGURE_CONFIGS, results[::2], results[1::2]):
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))
         paths.append(emit_svg_plot(res, out_dir / f"{name}.svg", overlay=res_overlay))
     return paths

@@ -59,29 +59,17 @@ def spin_cc_reference(b2, x2, c2):
     return h2(b2 * x2) - h2(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * b2 * x2 * c2))))
 
 
-# Amplitude grids for the closed-vs-Wootters concurrence checks: short
+# Amplitude grids for the concurrence checks of TestConcurrence: short
 # ones, and long ones on which spin-pair weights fall below 1e-13 of the
 # largest (gamma t ~ 28) and a two_exc Lorentzian r1r2 state has
 # lambda_2 = lambda_3 ~ 3e-7 (lambda t = 9)
-WOOTTERS_GRIDS = {
+CONCURRENCE_GRIDS = {
     "flat_3": amplitudes_flat(np.linspace(0.0, 3.0, 25)),
     "flat_6": amplitudes_flat(np.linspace(0.0, 6.0, 40)),
     "flat_40": amplitudes_flat(np.linspace(0.0, 40.0, 2001)),
     "lorentz_1.5": amplitudes_lorentz(np.linspace(0.0, 1.5, 40), RATIO),
     "lorentz_30": amplitudes_lorentz(np.linspace(0.0, 30.0, 2001), RATIO),
 }
-
-
-def spin_cc_decimal(b2, x2, c2):
-    """spin_cc_reference at 50 significant digits, from the same float inputs."""
-
-    def h(p):
-        return Decimal(0) if p <= 0 or p >= 1 else -(p * p.ln() + (1 - p) * (1 - p).ln()) / Decimal(2).ln()
-
-    with localcontext() as ctx:
-        ctx.prec = 50
-        b, x, c = Decimal(b2), Decimal(x2), Decimal(c2)
-        return float(h(b * x) - h((1 - (1 - 4 * b * x * c).sqrt()) / 2))
 
 
 def classical_decimal(b2, x2, digits=320):
@@ -329,28 +317,20 @@ class TestClosedForms:
                       *reservoir_correlations_one_exc(w, xi2, chi2)]
             assert min(v.min() for v in values) >= 0.0
 
-    def test_spins_two_exc_matches_decimal_reference(self):
-        # C is H(beta2 xi2) less an entropy that agrees with it in all but
-        # ~1e-8 of its value by gamma t = 20, so one rounding of H(beta2 xi2)
-        # is ~1e-6 of C there: the bound is 1e-6 relative plus 4 ulp of it
-        # (forming 1 - sqrt(1 - 4u) by subtraction is 1.5e-2 off at gamma t = 16)
-        xi2 = np.exp(-np.linspace(0.0, 20.0, 2001))
-        chi2 = 1.0 - xi2
-        for b2 in (0.1, 0.5, 0.9):
-            got = classical_correlation_spins_two_exc(b2, xi2, chi2)
-            want = np.array([spin_cc_decimal(b2, x, c) for x, c in zip(xi2, chi2)])
-            big = np.array([h2(b2 * x) for x in xi2])
-            assert np.all(np.abs(got - want) <= 1e-6 * want + 4.0 * np.spacing(big))
-
     @pytest.mark.parametrize("b2", [0.1, 0.5, 0.9])
     def test_classical_relative_accuracy_late_and_early(self, b2):
-        # the spin C late (xi2 = exp(-gamma t) down to 1e-130) and the
-        # reservoir C early (chi2 down to 1e-8) against 320 digits, taking
-        # y2 = 1 - x2 exactly: within 1e-14 relative wherever C is a normal
-        # float (the form H(p) - H(q) lost all of C by gamma t = 37)
-        late = np.linspace(0.0, 300.0, 61)
+        # the spin C late (xi2 = exp(-gamma t) down to 1e-130), about the
+        # switch of forms and below gamma t = ln 2, where _classical takes
+        # H(p) - H(q) directly, and the reservoir C early (chi2 down to 1e-8)
+        # against 320 digits, taking y2 = 1 - x2 exactly: within 1e-14
+        # relative wherever C is a normal float (the form H(p) - H(q) lost all
+        # of C by gamma t = 37).  The spin pair gets the rounded chi2 = 1.0 -
+        # xi2; fed to the reference too, that rounding would be amplified by
+        # 1 / xi2 (2e-7 relative by gamma t = 20)
+        spin_ts = np.concatenate([np.linspace(0.0, math.log(2.0), 8, endpoint=False),
+                                  np.linspace(math.log(2.0), 5.0, 8, endpoint=False), np.linspace(5.0, 300.0, 60)])
         early = np.geomspace(1e-8, 1.0, 33)
-        xi2 = np.exp(-late)
+        xi2 = np.exp(-spin_ts)
         spin = classical_correlation_spins_two_exc(b2, xi2, 1.0 - xi2)
         chi2 = -np.expm1(-early)
         reservoir, _ = reservoir_correlations_two_exc(b2, np.exp(-early), chi2)
@@ -389,7 +369,7 @@ class TestConcurrence:
         assert concurrence_wootters(rho_b) > 1e-4
 
     @staticmethod
-    def wootters_gap(family, partition, amps):
+    def x_formula_gap(family, partition, amps):
         """Largest |concurrence_batch - closed form| on a grid, over three weights (X states: the exact formula)."""
         closed = concurrence_closed if partition == "s1s2" else concurrence_closed_reservoirs
         gap = 0.0
@@ -400,34 +380,35 @@ class TestConcurrence:
         return gap
 
     @pytest.mark.parametrize("grid", ["flat_6", "flat_40", "lorentz_30"])
-    def test_closed_matches_wootters_two_exc(self, grid):
-        assert self.wootters_gap("two_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-15
+    def test_closed_matches_x_state_formula_two_exc(self, grid):
+        assert self.x_formula_gap("two_exc", "s1s2", CONCURRENCE_GRIDS[grid]) < 1e-15
 
     @pytest.mark.parametrize("grid", ["lorentz_1.5", "flat_40", "lorentz_30"])
-    def test_closed_matches_wootters_one_exc(self, grid):
-        assert self.wootters_gap("one_exc", "s1s2", WOOTTERS_GRIDS[grid]) < 1e-15
+    def test_closed_matches_x_state_formula_one_exc(self, grid):
+        assert self.x_formula_gap("one_exc", "s1s2", CONCURRENCE_GRIDS[grid]) < 1e-15
 
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
     @pytest.mark.parametrize("grid", ["flat_3", "flat_40", "lorentz_30"])
-    def test_reservoir_closed_matches_wootters(self, family, grid):
-        assert self.wootters_gap(family, "r1r2", WOOTTERS_GRIDS[grid]) < 1e-15
+    def test_reservoir_closed_matches_x_state_formula(self, family, grid):
+        assert self.x_formula_gap(family, "r1r2", CONCURRENCE_GRIDS[grid]) < 1e-15
 
-    @pytest.mark.parametrize("partition", ["s1r1", "s1r2", "s2r1", "s2r2"])
-    def test_matches_x_state_formula_on_mixed_pairs(self, partition):
+    @pytest.mark.parametrize("partition", PARTITION_ORDER)
+    def test_wootters_matches_x_state_formula_on_turned_states(self, partition):
         # a fixed local unitary u x v keeps the concurrence but makes the
         # model's X states general ones, so the turned stack takes Wootters'
-        # route and the untouched one the X-state formula.  s1r2 states carry
-        # genuine weights ~1e-14 next to ones near 1/2, and a cut at 1e-13 of
-        # the largest weight puts one (Lorentzian two_exc, lambda t = 1.225)
-        # 2.9e-7 off.  The eigensolver's absolute error in weights near 1e-16
-        # still moves the lambdas by up to ~1.4e-8
+        # route and the untouched one the X-state formula, on every pair.
+        # s1r2 states carry genuine weights ~1e-14 next to ones near 1/2, and
+        # a cut at 1e-13 of the largest weight puts one (Lorentzian two_exc,
+        # lambda t = 1.225) 2.9e-7 off.  The eigensolver's absolute error in
+        # weights near 1e-16 still moves the lambdas: the worst gap is 2.3e-8
+        # (s1s2), 1.7e-8 (r1r2) and 2.0e-8 to 2.1e-8 on the mixed pairs
         rng = np.random.default_rng(17)
         uv = np.kron(random_unitary(rng), random_unitary(rng))
         worst = 0.0
         for family in ("two_exc", "one_exc"):
             for grid in ("flat_40", "lorentz_30"):
                 for b2 in (0.1, 0.5, 0.9):
-                    psi = pure_state(family, math.sqrt(1.0 - b2), math.sqrt(b2), WOOTTERS_GRIDS[grid])
+                    psi = pure_state(family, math.sqrt(1.0 - b2), math.sqrt(b2), CONCURRENCE_GRIDS[grid])
                     r = reduced_batch(psi, partition)
                     turned = uv @ r @ uv.conj().T
                     assert not np.any(np.all(turned[:, _OFF_X] == 0.0, axis=1))

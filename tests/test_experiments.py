@@ -74,15 +74,30 @@ class TestRunSweep:
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
         assert np.array_equal(res.times(), [0.0, 0.7, 1.9])
-        keys = {
-            (part, pipe, measure)
-            for part in ("s1s2", "r1r2")
-            for pipe in ("closed_form", "brute_force")
-            for measure in SERIES_MEASURES
-        }
-        assert set(res.values) == keys
-        for key in keys:
-            assert res.series(*key).shape == (3,)
+        pairs = {(part, pipe) for part in ("s1s2", "r1r2") for pipe in ("closed_form", "brute_force")}
+        assert set(res.values) == pairs
+        for pair in pairs:
+            # one (4, T) block per pair, its rows in SERIES_MEASURES order
+            block = res.values[pair]
+            assert block.shape == (4, 3)
+            for row, measure in enumerate(SERIES_MEASURES):
+                assert np.array_equal(res.series(*pair, measure), block[row])
+            if pair[1] == "closed_form":
+                assert np.array_equal(block[0], block[1] + block[2])
+
+    def test_series_rejects_an_unknown_measure(self):
+        # a misspelt measure used to read as an empty series, as if the sweep lacked it
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7]))
+        res = run_sweep(sc, ("s1s2",), "closed_form")
+        with pytest.raises(ValueError, match="'qunatum'"):
+            res.series("s1s2", "closed_form", "qunatum")
+
+    def test_series_of_a_pair_not_run_is_empty(self):
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7]))
+        res = run_sweep(sc, ("s1s2",), "closed_form")
+        for part, pipe in (("s1s2", "brute_force"), ("r1r2", "closed_form")):
+            empty = res.series(part, pipe, "quantum")
+            assert empty.shape == (0,) and empty.dtype == float
 
     def test_both_pipelines_agree(self):
         sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 9))
@@ -106,7 +121,7 @@ class TestRunSweep:
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
         assert res.audits[0].passed
-        res.values["r1r2", "brute_force", "quantum"][1] = np.nan
+        res.values["r1r2", "brute_force"][SERIES_MEASURES.index("quantum"), 1] = np.nan
         audit = _agreement_audit(res)
         assert not audit.passed
         assert audit.margin == np.inf
@@ -152,18 +167,6 @@ class TestRunSweep:
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match=f"run_sweep: {message}"):
             run_sweep(sc, partitions, pipeline, grid=8, refine_iters=1)
-
-    def test_worker_count_invariance(self):
-        sc = Scenario("two_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 12))
-        r1 = run_sweep(sc, ("s1s2", "s1r2"), "brute_force", grid=12, refine_iters=2, workers=1)
-        r3 = run_sweep(sc, ("s1s2", "s1r2"), "brute_force", grid=12, refine_iters=2, workers=3)
-        assert np.array_equal(r1.times(), r3.times())
-        for part in ("s1s2", "s1r2"):
-            for measure in ("classical", "quantum", "mutual_info", "concurrence"):
-                a = r1.series(part, "brute_force", measure)
-                b = r3.series(part, "brute_force", measure)
-                assert a.shape == (12,) and np.array_equal(a, b)
-
 
     def test_partition_set_invariance(self):
         # the brute-force measures of all partitions are one stacked call

@@ -430,7 +430,7 @@ class TestEmitSvg:
 
 # Per-number formatters the emitters replaced, kept as the byte reference.
 def reference_csv(result):
-    pairs = sorted({(part, pipe) for part, pipe, _ in result.values})
+    pairs = sorted(result.values)
     lines = [CSV_HEADER]
     for i, t in enumerate(result.times()):
         for part, pipe in pairs:
@@ -472,10 +472,10 @@ AWKWARD = np.array([
 def awkward_result(times, side="first"):
     """A hand-built sweep of closed_form and brute_force rows, cycling AWKWARD through every series."""
     keys = [("s1s2", "closed_form"), ("s1s2", "brute_force"), ("r1r2", "brute_force"), ("s1r2", "brute_force")]
-    values = {}
-    for j, (part, pipe) in enumerate(keys):
-        for k, m in enumerate(SERIES_MEASURES):
-            values[part, pipe, m] = np.resize(np.roll(AWKWARD, 3 * j + k), len(times))
+    values = {
+        pair: np.stack([np.resize(np.roll(AWKWARD, 3 * j + k), len(times)) for k in range(len(SERIES_MEASURES))])
+        for j, pair in enumerate(keys)
+    }
     sc = Scenario("two_exc", 0.6, 0.8, SpectralDensity("flat", gamma=1.0), np.asarray(times, dtype=float))
     return SweepResult(sc, values, side)
 
