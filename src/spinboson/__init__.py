@@ -24,7 +24,6 @@ from .correlations import (
     classical_correlation_spins_one_exc,
     classical_correlation_spins_two_exc,
     concurrence_closed,
-    concurrence_closed_reservoirs,
     concurrence_wootters,
     discord,
     mutual_information,
@@ -36,6 +35,7 @@ from .correlations import (
 from .experiments import (
     AuditOutcome,
     SweepResult,
+    agreement_audit,
     bisect_positive_boundary,
     count_local_maxima,
     count_sign_changes,

@@ -23,6 +23,7 @@ from .correlations import SIDES
 from .experiments import (
     MEASURES,
     SQUARE_SUM_PARTITIONS,
+    agreement_audit,
     flat_classical_tail_audit,
     reservoir_transfer_audit,
     run_sweep,
@@ -82,7 +83,7 @@ def _cmd_audit(args) -> int:
     # values do not depend on the batch, the square sums of the four pairs
     partitions = tuple(dict.fromkeys(cfg.partitions + SQUARE_SUM_PARTITIONS))
     result = run_sweep(**{**cfg.sweep_args("both"), "partitions": partitions})
-    outcomes = result.audits + [square_sum_audit(result, measure) for measure in MEASURES]
+    outcomes = [agreement_audit(result)] + [square_sum_audit(result, measure) for measure in MEASURES]
 
     if cfg.spectral.kind == "flat":
         tail = np.linspace(8.0, 12.0, 5)

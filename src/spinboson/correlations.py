@@ -282,7 +282,7 @@ def classical_correlation_bruteforce(rho: np.ndarray, side: str = "second", grid
 def discord(rho: np.ndarray, side: str = "second", grid: int = 64, refine_iters: int = 4) -> float:
     """Quantum correlation Q = I - C via the brute-force optimiser, in bits (see ``discord_from``)."""
     rho, _ = require_state(rho, "discord", 4)
-    c, _ = classical_correlation_bruteforce(rho, side, grid, refine_iters)
+    c, _, _ = classical_correlation_batch(rho[None], side, grid, refine_iters)
     return float(discord_from(mutual_information_batch(rho[None]), c)[0])
 
 
@@ -448,14 +448,6 @@ def concurrence_wootters(rho: np.ndarray) -> float:
     return float(concurrence_batch(rho[None])[0])
 
 
-def _check_concurrence_args(who: str, alpha, beta, xi, chi) -> None:
-    """|alpha|^2 + |beta|^2 = 1 within 1e-10, as in Scenario, and xi^2, chi^2 as by _check_unit_interval."""
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(norm - 1.0) <= 1e-10:
-        raise ValueError(f"{who}: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")
-    _check_unit_interval(who, xi2=np.square(xi), chi2=np.square(chi))
-
-
 def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, chi: float) -> float:
     """Closed-form spin-pair concurrence for the evolving families.
 
@@ -463,8 +455,12 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
     at finite time (sudden death) whenever |alpha| < |beta|.
     one_exc: 2 * |alpha beta| xi^2, strictly positive while xi is nonzero.
     Normalised so the spin-flip (Wootters) value of a Bell state is 1.
+    The reservoir pair's concurrence is this formula at (chi, xi).
     """
-    _check_concurrence_args("concurrence_closed", alpha, beta, xi, chi)
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(norm - 1.0) <= 1e-10:  # Scenario's rule; also rejects NaN
+        raise ValueError(f"concurrence_closed: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")
+    _check_unit_interval("concurrence_closed", xi2=np.square(xi), chi2=np.square(chi))
     ab = abs(alpha) * abs(beta)
     x2 = xi * xi
     if family == "two_exc":
@@ -473,8 +469,3 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
         return 2.0 * ab * x2
     raise ValueError(f"concurrence_closed: unknown family {family!r}")
 
-
-def concurrence_closed_reservoirs(family: str, alpha: complex, beta: complex, xi: float, chi: float) -> float:
-    """Closed-form reservoir-pair concurrence (spin formulas with xi <-> chi)."""
-    _check_concurrence_args("concurrence_closed_reservoirs", alpha, beta, xi, chi)
-    return concurrence_closed(family, alpha, beta, chi, np.abs(xi))

@@ -6,11 +6,12 @@ four-party state, on every point of a scenario's time grid.  Two pipelines
 exist: ``closed_form`` (spin pair and reservoir pair only, one array-valued
 closed-form call per partition) and ``brute_force`` (any partition, via
 the measurement optimiser on the stack of reduced states); ``both`` runs
-the two side by side and, when the sweep covers a closed-form partition,
-audits how well they agree.  A sweep's result is one ``(4, T)`` array over
-the T grid times per (partition, pipeline), one row per measure.
+the two side by side.  A sweep's result is data only: one ``(4, T)`` array
+over the T grid times per (partition, pipeline), one row per measure.
 
-Audits never return bare booleans: each outcome carries the pass flag, a
+Every audit is a call: ``agreement_audit`` and ``square_sum_audit`` on a
+sweep result, the two flat-spectrum audits on weights and a tail of times.
+They never return bare booleans: each outcome carries the pass flag, a
 worst-case margin and enough numbers to diagnose a regression.
 """
 
@@ -25,15 +26,13 @@ from .correlations import (
     classical_correlation_spins_two_exc,
     concurrence_batch,
     concurrence_closed,
-    concurrence_closed_reservoirs,
     discord_from,
     mutual_information_batch,
     quantum_correlation_spins_one_exc,
-    reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
 from .linalg import binary_entropy
-from .model import PARTITION_ORDER, PARTITIONS, Scenario, reduced_batch, state_batch
+from .model import PARTITION_ORDER, PARTITIONS, Scenario, amplitudes_flat, reduced_batch, state_batch
 
 PIPELINES = ("closed_form", "brute_force", "both")
 
@@ -78,7 +77,6 @@ class SweepResult:
     scenario: Scenario
     values: dict
     side: str
-    audits: list[AuditOutcome] = field(default_factory=list)
 
     def series(self, partition: str, pipeline: str, measure: str) -> np.ndarray:
         """Time-ordered values of one measure (a copy); empty if the sweep did not run the pair."""
@@ -96,22 +94,17 @@ class SweepResult:
         return "brute_force" if any(pipe == "brute_force" for _, pipe in self.values) else "closed_form"
 
 
-def _closed_values(scenario: Scenario, partition: str, xi: np.ndarray, chi: np.ndarray):
-    """Closed-form (C, Q, concurrence) arrays over the grid for one partition."""
-    xi2, chi2 = xi**2, np.minimum(chi**2, 1.0)
+def _closed_values(scenario: Scenario, x: np.ndarray, y: np.ndarray):
+    """Spin-pair closed-form (C, Q, concurrence) arrays at the amplitudes (x, y).
+
+    The spin pair takes (xi, chi); the reservoir pair obeys the same
+    formulas with the two exchanged, so it takes (chi, xi).
+    """
+    x2, y2 = x**2, y**2
     alpha, beta, family = scenario.alpha, scenario.beta, scenario.family
-    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    if partition == "s1s2":
-        cs = classical_correlation_spins_two_exc(b2, xi2, chi2)
-        qs = cs if family == "two_exc" else quantum_correlation_spins_one_exc(a2, xi2, chi2)
-        return cs, qs, concurrence_closed(family, alpha, beta, xi, chi)
-    if partition == "r1r2":
-        if family == "two_exc":
-            cs, qs = reservoir_correlations_two_exc(b2, xi2, chi2)
-        else:
-            cs, qs = reservoir_correlations_one_exc(a2, xi2, chi2)
-        return cs, qs, concurrence_closed_reservoirs(family, alpha, beta, xi, chi)
-    raise ValueError(f"closed-form pipeline does not cover partition {partition!r}")
+    cs = classical_correlation_spins_two_exc(abs(beta) ** 2, x2, y2)
+    qs = cs if family == "two_exc" else quantum_correlation_spins_one_exc(abs(alpha) ** 2, x2, y2)
+    return cs, qs, concurrence_closed(family, alpha, beta, x, y)
 
 
 def check_partitions(partitions, caller: str) -> tuple:
@@ -149,9 +142,10 @@ def run_sweep(
     # the closed forms read only the amplitudes
     (xi, chi), states = (scenario.spectral.amplitudes(times), None) if pipeline == "closed_form" else state_batch(scenario)
     values = {}
+    amplitudes = {"s1s2": (xi, chi), "r1r2": (chi, xi)}
     for part in partitions:
         if pipeline != "brute_force" and part in CLOSED_FORM_PARTITIONS:
-            cs, qs, cons = _closed_values(scenario, part, xi, chi)
+            cs, qs, cons = _closed_values(scenario, *amplitudes[part])
             values[part, "closed_form"] = np.stack((cs + qs, cs, qs, cons))
     if pipeline != "closed_form":
         # one call per measure on the reduced states of every partition
@@ -161,20 +155,18 @@ def run_sweep(
         measures = np.stack([info, cvals, discord_from(info, cvals), concurrence_batch(rhos)])
         for part, block in zip(partitions, np.split(measures, len(partitions), axis=1)):
             values[part, "brute_force"] = block
-    result = SweepResult(scenario, values, side)
-    if pipeline == "both" and set(partitions) & set(CLOSED_FORM_PARTITIONS):
-        result.audits.append(_agreement_audit(result))
-    return result
+    return SweepResult(scenario, values, side)
 
 
-def _agreement_audit(result: SweepResult) -> AuditOutcome:
-    """Closed-form vs brute-force agreement over the covered partitions."""
+def agreement_audit(result: SweepResult) -> AuditOutcome:
+    """Closed-form vs brute-force agreement of C, Q and concurrence on every partition with both blocks."""
     audited = SERIES_MEASURES[1:]
+    compared = [p for p in CLOSED_FORM_PARTITIONS if {(p, "closed_form"), (p, "brute_force")} <= result.values.keys()]
+    if not compared:
+        raise ValueError(f"agreement_audit: no partition of {CLOSED_FORM_PARTITIONS} has both pipelines' values")
     worst = 0.0
     worst_where = ""
-    for part in CLOSED_FORM_PARTITIONS:
-        if (part, "closed_form") not in result.values:
-            continue
+    for part in compared:
         # (T, 3): the two blocks' C, Q and concurrence rows, one row per time
         dev = np.abs(result.values[part, "closed_form"][1:] - result.values[part, "brute_force"][1:]).T
         # a non-finite deviation is a failed comparison, not a skipped one
@@ -219,8 +211,8 @@ def flat_classical_tail_audit(beta2: float, gamma_ts) -> AuditOutcome:
         raise ValueError("flat_classical_tail_audit: need an increasing tail of times")
     if ts[0] < 8.0:
         raise ValueError("flat_classical_tail_audit: tail must start at gamma_t >= 8")
-    xi2 = np.exp(-ts)
-    c = classical_correlation_spins_two_exc(beta2, xi2, 1.0 - xi2)
+    xi2, chi2 = np.square(amplitudes_flat(ts))
+    c = classical_correlation_spins_two_exc(beta2, xi2, chi2)
     lead = (beta2 - beta2 * beta2) * ts * np.exp(-2.0 * ts) / np.log(2.0)
     ratios = _ratio(c, lead, 0.0)
     gaps = np.abs(ratios - 1.0)
@@ -251,12 +243,14 @@ def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts)
     ts = np.asarray(list(gamma_ts), dtype=float)
     if ts.size == 0:
         raise ValueError("reservoir_transfer_audit: need at least one time")
+    if not abs(alpha2 + beta2 - 1.0) <= 1e-10:
+        raise ValueError(f"reservoir_transfer_audit: alpha2 + beta2 must be 1, got alpha2 = {alpha2!r}, beta2 = {beta2!r}")
     if family == "two_exc":
         if ts.min() < 15.0:
             raise ValueError("reservoir_transfer_audit: two_exc tail must satisfy gamma_t >= 15")
+        xi2, chi2 = np.square(amplitudes_flat(ts))
         target = binary_entropy(beta2)
-        xi2 = np.exp(-ts)
-        _, q = reservoir_correlations_two_exc(beta2, xi2, 1.0 - xi2)
+        _, q = reservoir_correlations_two_exc(beta2, xi2, chi2)
         worst = float(np.abs(q - target).max())
         return AuditOutcome(
             name="reservoir_transfer_two_exc",
@@ -267,8 +261,8 @@ def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts)
     if family == "one_exc":
         if ts.min() < 8.0:
             raise ValueError("reservoir_transfer_audit: one_exc tail must satisfy gamma_t >= 8")
-        xi2 = np.exp(-ts)
-        q = quantum_correlation_spins_one_exc(alpha2, xi2, 1.0 - xi2)
+        xi2, chi2 = np.square(amplitudes_flat(ts))
+        q = quantum_correlation_spins_one_exc(alpha2, xi2, chi2)
         ratios = _ratio(q, binary_entropy(alpha2) * xi2, 1e-300)
         in_band = bool(np.all((ratios >= _TAIL_BAND[0]) & (ratios <= _TAIL_BAND[1])))
         return AuditOutcome(
@@ -338,6 +332,8 @@ def bisect_positive_boundary(f, lo: float, hi: float, tol: float = 1e-9, max_ite
     Suited to concurrence, which dies at a point and stays dead, and to
     the first zero of a function that changes sign once on the bracket.
     """
+    if not lo < hi:  # also rejects NaN
+        raise ValueError(f"bisect_positive_boundary: need lo < hi, got lo = {lo!r}, hi = {hi!r}")
     if not f(lo) > 0.0:
         raise ValueError("bisect_positive_boundary: f(lo) must be positive")
     if f(hi) > 0.0:

@@ -15,7 +15,6 @@ from spinboson.correlations import (
     classical_correlation_spins_two_exc,
     concurrence_batch,
     concurrence_closed,
-    concurrence_closed_reservoirs,
     concurrence_wootters,
     discord,
     discord_from,
@@ -371,12 +370,13 @@ class TestConcurrence:
     @staticmethod
     def x_formula_gap(family, partition, amps):
         """Largest |concurrence_batch - closed form| on a grid, over three weights (X states: the exact formula)."""
-        closed = concurrence_closed if partition == "s1s2" else concurrence_closed_reservoirs
+        # the reservoir pair takes the spin formula with xi and chi exchanged
+        x, y = (amps.xi, amps.chi) if partition == "s1s2" else (amps.chi, amps.xi)
         gap = 0.0
         for b2 in (0.1, 0.5, 0.9):
             alpha, beta = math.sqrt(1.0 - b2), math.sqrt(b2)
             rhos = reduced_batch(pure_state(family, alpha, beta, amps), partition)
-            gap = max(gap, np.abs(concurrence_batch(rhos) - closed(family, alpha, beta, amps.xi, amps.chi)).max())
+            gap = max(gap, np.abs(concurrence_batch(rhos) - concurrence_closed(family, alpha, beta, x, y)).max())
         return gap
 
     @pytest.mark.parametrize("grid", ["flat_6", "flat_40", "lorentz_30"])
@@ -853,14 +853,14 @@ class TestClosedFormArrays:
         assert isinstance(fn(0.3, 0.4, 0.6), (float, tuple))
 
     @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
-    @pytest.mark.parametrize("fn", [concurrence_closed, concurrence_closed_reservoirs])
-    def test_concurrence_matches_scalar_calls(self, family, fn):
-        # Lorentzian amplitudes: xi changes sign
+    @pytest.mark.parametrize("mirror", [False, True], ids=["spins", "reservoirs"])
+    def test_concurrence_matches_scalar_calls(self, family, mirror):
+        # Lorentzian amplitudes: xi changes sign; the reservoir pair passes (chi, xi)
         amps = np.array([amplitudes_lorentz(t, RATIO) for t in np.linspace(0.0, 2.0, 41)])
-        xi, chi = amps[:, 0], amps[:, 1]
+        x, y = (amps[:, 1], amps[:, 0]) if mirror else (amps[:, 0], amps[:, 1])
         for alpha, beta in (BELL, LOPSIDED, (1.0, 0.0)):
-            got = fn(family, alpha, beta, xi, chi)
-            want = np.array([fn(family, alpha, beta, float(a), float(b)) for a, b in zip(xi, chi)])
+            got = concurrence_closed(family, alpha, beta, x, y)
+            want = np.array([concurrence_closed(family, alpha, beta, float(a), float(b)) for a, b in zip(x, y)])
             assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("fn,weight", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
@@ -873,17 +873,16 @@ class TestClosedFormArrays:
         with pytest.raises(ValueError, match=name):
             fn(*args)
 
-    @pytest.mark.parametrize("fn", [concurrence_closed, concurrence_closed_reservoirs])
     @pytest.mark.parametrize("args,name", [
         ((1.0, 1.0, 1.0, 0.0), "alpha"),
         ((np.nan, 0.0, 1.0, 0.0), "alpha"),
         ((*BELL, np.array([1.0, 2.0]), np.array([0.0, 0.0])), "xi2"),
         ((*BELL, 1.0, np.nan), "chi2"),
     ], ids=["unnormalised", "nan_weight", "xi_above_one", "nan_chi"])
-    def test_concurrence_bad_entry_named(self, fn, args, name):
+    def test_concurrence_bad_entry_named(self, args, name):
         # concurrence_closed("one_exc", 1.0, 1.0, 2.0, 0.0) used to return 8.0
-        with pytest.raises(ValueError, match=f"{fn.__name__}: .*{name}"):
-            fn("one_exc", *args)
+        with pytest.raises(ValueError, match=f"concurrence_closed: .*{name}"):
+            concurrence_closed("one_exc", *args)
 
     @pytest.mark.parametrize("fn", [f for f, _ in CLOSED_FORMS], ids=lambda f: f.__name__)
     def test_unnormalised_entry_named(self, fn):

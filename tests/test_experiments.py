@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from spinboson.correlations import concurrence_wootters, quantum_correlation_spi
 from spinboson.experiments import (
     SERIES_MEASURES,
     SQUARE_SUM_PARTITIONS,
-    _agreement_audit,
+    agreement_audit,
     bisect_positive_boundary,
     count_local_maxima,
     count_sign_changes,
@@ -102,27 +103,36 @@ class TestRunSweep:
     def test_both_pipelines_agree(self):
         sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 1.0, 9))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=32, refine_iters=3)
-        audit = res.audits[0]
+        audit = agreement_audit(res)
         assert audit.name == "closed_vs_brute"
         assert audit.passed
         assert audit.margin < 1e-6
 
-    def test_agreement_audit_only_with_a_closed_form_partition(self):
-        # a sweep without a closed-form partition used to report a PASS
-        # (margin 0, worst_at "") after comparing nothing
+    @pytest.mark.parametrize("partitions,pipeline", [
+        (("s1r1",), "both"), (("s1s2", "r1r2"), "closed_form"), (("s1s2",), "brute_force"),
+    ])
+    def test_agreement_audit_needs_both_blocks_of_a_pair(self, partitions, pipeline):
+        # comparing nothing used to report a PASS (margin 0, worst_at "")
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
-        assert run_sweep(sc, ("s1r1",), "both", grid=12, refine_iters=2).audits == []
+        res = run_sweep(sc, partitions, pipeline, grid=12, refine_iters=2)
+        with pytest.raises(ValueError, match="agreement_audit: no partition"):
+            agreement_audit(res)
+
+    def test_agreement_audit_covers_the_pairs_with_both_blocks(self):
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "s1r1"), "both", grid=12, refine_iters=2)
-        assert [a.name for a in res.audits] == ["closed_vs_brute"]
-        assert res.audits[0].passed
-        assert res.audits[0].details["worst_at"].startswith("s1s2/")
+        # a sweep holds data only; audits are calls on it
+        assert [f.name for f in dataclasses.fields(res)] == ["scenario", "values", "side"]
+        audit = agreement_audit(res)
+        assert audit.passed
+        assert audit.details["worst_at"].startswith("s1s2/")
 
     def test_non_finite_cell_fails_agreement(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 0.7, 1.9]))
         res = run_sweep(sc, ("s1s2", "r1r2"), "both", grid=12, refine_iters=2)
-        assert res.audits[0].passed
+        assert agreement_audit(res).passed
         res.values["r1r2", "brute_force"][SERIES_MEASURES.index("quantum"), 1] = np.nan
-        audit = _agreement_audit(res)
+        audit = agreement_audit(res)
         assert not audit.passed
         assert audit.margin == np.inf
         assert audit.details["worst_at"] == "r1r2/quantum@t=0.7"
@@ -245,6 +255,15 @@ class TestReservoirTransferAudit:
         with pytest.raises(ValueError, match="family"):
             reservoir_transfer_audit("none", 0.5, 0.5, [20.0])
 
+    @pytest.mark.parametrize("family,alpha2,beta2,ts", [
+        ("one_exc", 0.3, 0.3, np.linspace(8.0, 12.0, 5)),
+        ("two_exc", 0.9, 0.5, [20.0]),
+    ])
+    def test_weights_must_sum_to_one(self, family, alpha2, beta2, ts):
+        # both used to pass
+        with pytest.raises(ValueError, match=f"alpha2 = {alpha2}, beta2 = {beta2}"):
+            reservoir_transfer_audit(family, alpha2, beta2, ts)
+
 
 @pytest.fixture(scope="module")
 def flat_sweep():
@@ -318,6 +337,11 @@ class TestRootFinding:
     def test_boundary_validation(self):
         with pytest.raises(ValueError, match="positive"):
             bisect_positive_boundary(lambda x: 0.0, 0.0, 1.0)
+        # a reversed bracket used to return its midpoint, 0.5, as the root
+        with pytest.raises(ValueError, match="lo = 1.0, hi = 0.0"):
+            bisect_positive_boundary(lambda x: x - 0.3, 1.0, 0.0)
+        with pytest.raises(ValueError, match="lo < hi"):
+            bisect_positive_boundary(lambda x: 1.0 - x, float("nan"), 2.0)
 
 
 class TestSeriesDiagnostics:

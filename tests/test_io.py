@@ -17,6 +17,7 @@ from spinboson.experiments import (
     SERIES_MEASURES,
     SQUARE_SUM_PARTITIONS,
     SweepResult,
+    agreement_audit,
     flat_classical_tail_audit,
     reservoir_transfer_audit,
     run_sweep,
@@ -612,7 +613,7 @@ class TestCli:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(doc))
         cfg = parse_config(cfg_path.read_text())
-        outcomes = run_sweep(**cfg.sweep_args("both")).audits
+        outcomes = [agreement_audit(run_sweep(**cfg.sweep_args("both")))]
         pairs = run_sweep(**{**cfg.sweep_args("brute_force"), "partitions": SQUARE_SUM_PARTITIONS})
         outcomes += [square_sum_audit(pairs, measure) for measure in MEASURES]
         if cfg.spectral.kind == "flat":
