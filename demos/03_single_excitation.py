@@ -13,10 +13,9 @@ import numpy as np
 
 from spinboson import (
     amplitudes_flat,
-    classical_correlation_spins_one_exc,
+    classical_correlation_spins_two_exc,
     concurrence_closed,
     quantum_correlation_spins_one_exc,
-    reservoir_correlations_one_exc,
 )
 
 alpha2 = 0.1
@@ -35,7 +34,7 @@ print("gamma*t     C(spins)    Q(spins)    |Q-C|      Q/(Q(0) e^-gt)   concurren
 for gamma_t in (0.0, 0.3, 0.7, 1.5, 3.0, 6.0, 10.0):
     xi, chi = amplitudes_flat(gamma_t)
     x2, c2 = xi**2, chi**2
-    c = classical_correlation_spins_one_exc(alpha2, x2, c2)
+    c = classical_correlation_spins_two_exc(beta2, x2, c2)
     q = quantum_correlation_spins_one_exc(alpha2, x2, c2)
     ratio = q / (h2(alpha2) * math.exp(-gamma_t))
     con = concurrence_closed("one_exc", math.sqrt(alpha2), math.sqrt(beta2), xi, chi)
@@ -46,10 +45,12 @@ print("the ratio column shows Q settling onto H(|alpha|^2) exp(-gamma t);")
 print("the concurrence column is 2|alpha beta| exp(-gamma t): positive forever, no sudden death")
 print()
 
-# the reservoirs end up with *different* C and Q, unlike the spin story
+# the reservoirs end up with *different* C and Q, unlike the spin story;
+# they obey the spin formulas with xi and chi exchanged
 print("late-time reservoir pair:")
 for gamma_t in (2.0, 5.0, 12.0):
     xi, chi = amplitudes_flat(gamma_t)
-    c, q = reservoir_correlations_one_exc(alpha2, xi**2, chi**2)
+    c = classical_correlation_spins_two_exc(beta2, chi**2, xi**2)
+    q = quantum_correlation_spins_one_exc(alpha2, chi**2, xi**2)
     print(f"  gamma*t = {gamma_t:5.1f}: C = {c:.6f} -> H(|beta|^2) = {h2(beta2):.6f}, "
           f"Q = {q:.6f} -> H(|alpha|^2) = {h2(alpha2):.6f}")

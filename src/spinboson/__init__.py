@@ -21,15 +21,12 @@ from .model import (
 from .correlations import (
     MeasurementAxis,
     classical_correlation_bruteforce,
-    classical_correlation_spins_one_exc,
     classical_correlation_spins_two_exc,
     concurrence_closed,
     concurrence_wootters,
     discord,
     mutual_information,
     quantum_correlation_spins_one_exc,
-    quantum_correlation_spins_two_exc,
-    reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
 from .experiments import (

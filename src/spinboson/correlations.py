@@ -5,8 +5,10 @@ quantum correlation (discord) Q:
 
 * a brute-force optimiser over orthogonal projective measurements on one
   qubit, valid for any two-qubit state, and
-* closed forms for the spin pair and the reservoir pair of the two
-  evolving initial-state families of :mod:`spinboson.model`.
+* closed forms for the two evolving families of :mod:`spinboson.model`:
+  ``classical_correlation_spins_two_exc``, ``quantum_correlation_spins_one_exc``,
+  ``reservoir_correlations_two_exc`` and ``concurrence_closed``.  The reservoir
+  pair obeys the spin pair's formulas with xi and chi exchanged.
 
 The optimiser works on the real Bloch form of the state: a deterministic
 mesh scan over (polar, azimuth) on the upper hemisphere, then Newton
@@ -333,42 +335,26 @@ def _classical(beta2, x2, y2):
     entropies cancel as x2 shrinks, so there C comes from d = p - q = 4 beta2
     (1 - beta2) x2^2 y2 / ((1 + s) (1 + s - 2 x2)), formed without a
     subtraction, as d ln((1 - p) / p) - q log1p(d / q) - (1 - q) log1p(-d /
-    (1 - q)) nats.
+    (1 - q)) nats; a subnormal p, whose (1 - p) / p overflows, takes H(p) - H(q).
     """
     s = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * beta2 * x2 * y2))
     p, q = beta2 * x2, 2.0 * beta2 * x2 * y2 / (1.0 + s)
-    direct = (x2 > 0.5) | (q <= 0.0)
-    # where the direct form serves, this one may divide by zero: those cells are dropped
-    with np.errstate(divide="ignore", invalid="ignore"):
+    direct = (x2 > 0.5) | (q <= 0.0) | (p < _TINY)
+    # where the direct form serves, this one may divide by zero or overflow: those cells are dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = 4.0 * beta2 * (1.0 - beta2) * x2 * x2 * y2 / np.maximum((1.0 + s) * (1.0 + s - 2.0 * x2), _TINY)
         small = d * np.log((1.0 - p) / p) - q * np.log1p(d / q) - (1.0 - q) * np.log1p(-d / (1.0 - q))
     return np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))[()]
 
 
-def _quantum_one_exc(alpha2, x2, y2):
-    """Q = -H(x2) + H(alpha2 x2) + H(q), with q of ``_classical`` at beta2 = 1 - alpha2."""
-    u = (1.0 - alpha2) * x2 * y2
-    disturbed = binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
-    return -binary_entropy(x2) + binary_entropy(alpha2 * x2) + disturbed
-
-
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
-    """Closed-form C of the spin pair, two-excitation family.
+    """Closed-form C of the spin pair in both families, with beta2 = |beta|^2.
 
-    C = H(beta2 * xi2) - H((1 + sqrt(1 - 4 beta2 xi2 chi2)) / 2); the
-    optimum is attained by equatorial measurements.
+    C = H(beta2 * xi2) - H((1 + sqrt(1 - 4 beta2 xi2 chi2)) / 2), attained by
+    equatorial measurements; in the two-excitation family Q = C.
     """
     beta2, xi2, chi2 = _check_unit_interval("classical_correlation_spins_two_exc", beta2=beta2, xi2=xi2, chi2=chi2)
     return _classical(beta2, xi2, chi2)
-
-
-def quantum_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
-    """Closed-form Q of the spin pair, two-excitation family.
-
-    Identical to the classical correlation: for this family Q stays equal
-    to C throughout the evolution.
-    """
-    return classical_correlation_spins_two_exc(beta2, xi2, chi2)
 
 
 def reservoir_correlations_two_exc(beta2: float, xi2: float, chi2: float) -> tuple[float, float]:
@@ -382,16 +368,6 @@ def reservoir_correlations_two_exc(beta2: float, xi2: float, chi2: float) -> tup
     return c, c
 
 
-def classical_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) -> float:
-    """Closed-form C of the spin pair, one-excitation family.
-
-    Takes the same value as the two-excitation expression with
-    beta2 = 1 - alpha2; only Q distinguishes the two families.
-    """
-    alpha2, xi2, chi2 = _check_unit_interval("classical_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    return _classical(1.0 - alpha2, xi2, chi2)
-
-
 def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) -> float:
     """Closed-form Q of the spin pair, one-excitation family.
 
@@ -399,18 +375,9 @@ def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) ->
     with beta2 = 1 - alpha2.  At t = 0 this reduces to H(alpha2).
     """
     alpha2, xi2, chi2 = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    return _quantum_one_exc(alpha2, xi2, chi2)
-
-
-def reservoir_correlations_one_exc(alpha2: float, xi2: float, chi2: float) -> tuple[float, float]:
-    """Closed-form (C, Q) of the reservoir pair, one-excitation family.
-
-    C = H(beta2 chi2) - H((1 - sqrt(1 - 4 beta2 xi2 chi2)) / 2) and
-    Q = H((1 + sqrt(...)) / 2) - H(chi2) + H(alpha2 chi2); the reservoirs
-    inherit the spin formulas with xi and chi exchanged.
-    """
-    alpha2, xi2, chi2 = _check_unit_interval("reservoir_correlations_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    return _classical(1.0 - alpha2, chi2, xi2), _quantum_one_exc(alpha2, chi2, xi2)
+    u = (1.0 - alpha2) * xi2 * chi2
+    disturbed = binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
+    return -binary_entropy(xi2) + binary_entropy(alpha2 * xi2) + disturbed
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +428,7 @@ def concurrence_closed(family: str, alpha: complex, beta: complex, xi: float, ch
     if not abs(norm - 1.0) <= 1e-10:  # Scenario's rule; also rejects NaN
         raise ValueError(f"concurrence_closed: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")
     _check_unit_interval("concurrence_closed", xi2=np.square(xi), chi2=np.square(chi))
-    ab = abs(alpha) * abs(beta)
-    x2 = xi * xi
+    ab, x2 = abs(alpha) * abs(beta), xi * xi
     if family == "two_exc":
         return 2.0 * np.maximum(0.0, ab * x2 - (abs(beta) ** 2) * x2 * chi * chi)
     if family == "one_exc":

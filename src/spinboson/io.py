@@ -114,8 +114,9 @@ class RunConfig:
             if not isinstance(value, str) or value not in names:
                 raise ValueError(f"config: {field} must be one of {names}, got {value!r}")
 
-        if not all(isinstance(w, (int, float, complex)) for w in (self.alpha, self.beta)):
-            raise ValueError(f"config: alpha and beta must be numbers, got {self.alpha!r} and {self.beta!r}")
+        for field in ("alpha", "beta"):
+            if isinstance(w := getattr(self, field), bool) or not isinstance(w, (int, float, complex)):
+                raise ValueError(f"config: {field} must be a number, got {w!r}")
         norm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
         if not abs(norm - 1.0) < 1e-6:  # NaN fails too
             raise ValueError(

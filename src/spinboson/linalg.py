@@ -93,7 +93,7 @@ def entropy2_batch(mats: np.ndarray) -> np.ndarray:
     det = (m[..., 0, 0] * m[..., 1, 1]).real - (m[..., 0, 1] * m[..., 1, 0]).real
     disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
     lam = np.clip((tr + disc) / 2.0, 0.0, 1.0)
-    return binary_entropy(np.clip(lam, 0.0, 1.0))
+    return binary_entropy(lam)
 
 
 def random_pure_state(rng: np.random.Generator, dim: int = 16) -> np.ndarray:

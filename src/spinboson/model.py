@@ -36,7 +36,7 @@ PARTITIONS = {
     "s2r2": (1, 3),
 }
 
-PARTITION_ORDER = ("s1s2", "r1r2", "s1r1", "s1r2", "s2r1", "s2r2")
+PARTITION_ORDER = tuple(PARTITIONS)
 
 # Critical-damping window for the Lorentzian discriminant 1 - 4 (W/lambda)^2.
 _CRITICAL_EPS = 1e-12
@@ -154,7 +154,7 @@ class Scenario:
         if self.family not in FAMILIES:
             raise ValueError(f"Scenario: unknown family {self.family!r}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"Scenario: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")
         grid = np.asarray(self.time_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:

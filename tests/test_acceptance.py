@@ -15,15 +15,12 @@ import pytest
 
 from spinboson.correlations import (
     classical_correlation_batch,
-    classical_correlation_spins_one_exc,
     classical_correlation_spins_two_exc,
     concurrence_batch,
     concurrence_closed,
     concurrence_wootters,
     mutual_information_batch,
     quantum_correlation_spins_one_exc,
-    quantum_correlation_spins_two_exc,
-    reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
 from spinboson.experiments import (
@@ -125,16 +122,15 @@ def test_criterion_2_oracle_equivalence_one_excitation():
             rhos = reduced_batch(psi, "s1s2")
             c_brute, _, _ = classical_correlation_batch(rhos, "second", 64, 4)
             q_brute = mutual_information_batch(rhos) - c_brute
-            c_closed = np.array([classical_correlation_spins_one_exc(a2, x, c) for x, c in zip(x2, c2)])
+            c_closed = np.array([classical_correlation_spins_two_exc(1.0 - a2, x, c) for x, c in zip(x2, c2)])
             q_closed = np.array([quantum_correlation_spins_one_exc(a2, x, c) for x, c in zip(x2, c2)])
             worst = max(worst, np.abs(c_brute - c_closed).max(), np.abs(q_brute - q_closed).max())
 
             rhos = reduced_batch(psi, "r1r2")
             c_brute, _, _ = classical_correlation_batch(rhos, "second", 64, 4)
             q_brute = mutual_information_batch(rhos) - c_brute
-            pairs = [reservoir_correlations_one_exc(a2, x, c) for x, c in zip(x2, c2)]
-            c_closed = np.array([p[0] for p in pairs])
-            q_closed = np.array([p[1] for p in pairs])
+            c_closed = np.array([classical_correlation_spins_two_exc(1.0 - a2, c, x) for x, c in zip(x2, c2)])
+            q_closed = np.array([quantum_correlation_spins_one_exc(a2, c, x) for x, c in zip(x2, c2)])
             worst = max(worst, np.abs(c_brute - c_closed).max(), np.abs(q_brute - q_closed).max())
     report("2 oracle equivalence one_exc", worst < 1e-6, f"worst deviation {worst:.2e}")
     assert worst < 1e-6
@@ -249,7 +245,7 @@ def test_criterion_6_oscillation_counts():
     taus2 = np.linspace(0.0, 2.0, AUDIT_STEPS)
     peaks = []
     for fam, closed_q in (
-        ("two_exc", lambda x2, c2: quantum_correlation_spins_two_exc(0.5, x2, c2)),
+        ("two_exc", lambda x2, c2: classical_correlation_spins_two_exc(0.5, x2, c2)),
         ("one_exc", lambda x2, c2: quantum_correlation_spins_one_exc(0.5, x2, c2)),
     ):
         series = []

@@ -11,7 +11,6 @@ from spinboson.correlations import (
     _cc_mesh,
     classical_correlation_batch,
     classical_correlation_bruteforce,
-    classical_correlation_spins_one_exc,
     classical_correlation_spins_two_exc,
     concurrence_batch,
     concurrence_closed,
@@ -21,8 +20,6 @@ from spinboson.correlations import (
     mutual_information,
     mutual_information_batch,
     quantum_correlation_spins_one_exc,
-    quantum_correlation_spins_two_exc,
-    reservoir_correlations_one_exc,
     reservoir_correlations_two_exc,
 )
 from spinboson.experiments import run_sweep
@@ -242,27 +239,10 @@ class TestClosedForms:
     def test_spins_two_exc_no_excitation(self):
         assert classical_correlation_spins_two_exc(0.0, 0.5, 0.5) == 0.0
 
-    def test_quantum_equals_classical_two_exc(self):
-        for b2 in (0.25, 0.5, 0.9):
-            for x2 in (0.0, 0.3, 0.8, 1.0):
-                c = classical_correlation_spins_two_exc(b2, x2, 1.0 - x2)
-                q = quantum_correlation_spins_two_exc(b2, x2, 1.0 - x2)
-                assert c == q
-
     def test_reservoirs_two_exc_endpoints(self):
         assert reservoir_correlations_two_exc(0.5, 1.0, 0.0) == (0.0, 0.0)
         c, q = reservoir_correlations_two_exc(0.5, 1e-14, 1.0 - 1e-14)
         assert abs(c - 1.0) < 1e-6 and abs(q - 1.0) < 1e-6
-
-    def test_reservoirs_two_exc_vs_bruteforce(self):
-        b2 = 0.9
-        amps = Amplitudes(2**-0.5, 2**-0.5)
-        rho = reduced(pure_state("two_exc", math.sqrt(1 - b2), math.sqrt(b2), amps), "r1r2")
-        c_closed, q_closed = reservoir_correlations_two_exc(b2, 0.5, 0.5)
-        c_brute, _ = classical_correlation_bruteforce(rho, grid=64, refine_iters=4)
-        q_brute = discord(rho, grid=64, refine_iters=4)
-        assert abs(c_brute - c_closed) < 1e-6
-        assert abs(q_brute - q_closed) < 1e-6
 
     def test_spins_one_exc_q_at_t0(self):
         for a2 in (0.1, 0.5, 0.77):
@@ -276,30 +256,17 @@ class TestClosedForms:
         q = discord(rho, grid=64, refine_iters=4)
         assert abs(q - quantum_correlation_spins_one_exc(0.1, 0.5, 0.5)) < 1e-6
 
-    def test_classical_one_exc_equals_two_exc_value(self):
-        for a2 in (0.1, 0.5):
-            for x2 in (0.2, 0.6):
-                assert classical_correlation_spins_one_exc(a2, x2, 1.0 - x2) == (
-                    classical_correlation_spins_two_exc(1.0 - a2, x2, 1.0 - x2)
-                )
-
     def test_reservoirs_one_exc_endpoints(self):
-        assert reservoir_correlations_one_exc(0.3, 1.0, 0.0) == (0.0, 0.0)
-        c, q = reservoir_correlations_one_exc(0.3, 0.0, 1.0)
-        assert abs(c - h2(0.7)) < 1e-12
-        assert abs(q - h2(0.3)) < 1e-12
-
-    def test_reservoirs_one_exc_vs_bruteforce(self):
-        rho = reduced(pure_state("one_exc", *LOPSIDED, Amplitudes(2**-0.5, 2**-0.5)), "r1r2")
-        c_closed, q_closed = reservoir_correlations_one_exc(0.1, 0.5, 0.5)
-        c_brute, _ = classical_correlation_bruteforce(rho, grid=64, refine_iters=4)
-        assert abs(c_brute - c_closed) < 1e-6
-        assert abs(discord(rho, grid=64, refine_iters=4) - q_closed) < 1e-6
+        # the reservoir pair takes the spin forms at (chi2, xi2), with beta2 = 1 - alpha2
+        assert classical_correlation_spins_two_exc(0.7, 0.0, 1.0) == 0.0
+        assert quantum_correlation_spins_one_exc(0.3, 0.0, 1.0) == 0.0
+        assert abs(classical_correlation_spins_two_exc(0.7, 1.0, 0.0) - h2(0.7)) < 1e-12
+        assert abs(quantum_correlation_spins_one_exc(0.3, 1.0, 0.0) - h2(0.3)) < 1e-12
 
     def test_q_differs_from_c_one_exc(self):
         gap = abs(
             quantum_correlation_spins_one_exc(0.1, 0.5, 0.5)
-            - classical_correlation_spins_one_exc(0.1, 0.5, 0.5)
+            - classical_correlation_spins_two_exc(0.9, 0.5, 0.5)
         )
         assert gap > 1e-3
 
@@ -310,10 +277,10 @@ class TestClosedForms:
         xi2, chi2 = amps.xi**2, np.minimum(amps.chi**2, 1.0)
         for w in (0.1, 0.5, 0.9):
             values = [classical_correlation_spins_two_exc(w, xi2, chi2),
-                      classical_correlation_spins_one_exc(w, xi2, chi2),
+                      classical_correlation_spins_two_exc(w, chi2, xi2),
                       quantum_correlation_spins_one_exc(w, xi2, chi2),
-                      *reservoir_correlations_two_exc(w, xi2, chi2),
-                      *reservoir_correlations_one_exc(w, xi2, chi2)]
+                      quantum_correlation_spins_one_exc(w, chi2, xi2),
+                      *reservoir_correlations_two_exc(w, xi2, chi2)]
             assert min(v.min() for v in values) >= 0.0
 
     @pytest.mark.parametrize("b2", [0.1, 0.5, 0.9])
@@ -338,6 +305,16 @@ class TestClosedForms:
             normal = want >= np.finfo(float).tiny
             assert normal.sum() == len(want)
             assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_subnormal_weight_product(self):
+        # p = beta2 xi2 below the normal floats, where (1 - p) / p overflows:
+        # a flat sweep past gamma t = 709 once read NaN, and beta2 = 1e-310 inf
+        amps = amplitudes_flat(np.linspace(700.0, 750.0, 51))
+        c = classical_correlation_spins_two_exc(0.5, amps.xi**2, amps.chi**2)
+        assert np.all((c >= 0.0) & (c <= np.finfo(float).tiny))
+        for b2 in (1e-310, 3e-309):
+            want = classical_decimal(b2, 0.5, digits=700)
+            assert abs(classical_correlation_spins_two_exc(b2, 0.5, 0.5) - want) <= 1e-13 * want
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="beta2"):
@@ -825,14 +802,28 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.int64)
 
 
-# (function, name of the weight argument)
+# The README's replacements for the one-excitation C and the reservoir pair:
+# the spin forms at beta2 = 1 - alpha2, and at (chi2, xi2) for r1r2.
+def spins_one_exc_classical(alpha2, xi2, chi2):
+    return classical_correlation_spins_two_exc(1.0 - alpha2, xi2, chi2)
+
+
+def reservoirs_one_exc_classical(alpha2, xi2, chi2):
+    return classical_correlation_spins_two_exc(1.0 - alpha2, chi2, xi2)
+
+
+def reservoirs_one_exc_quantum(alpha2, xi2, chi2):
+    return quantum_correlation_spins_one_exc(alpha2, chi2, xi2)
+
+
+# (function, the names its errors give the (weight, xi2, chi2) arguments)
 CLOSED_FORMS = [
-    (classical_correlation_spins_two_exc, "beta2"),
-    (quantum_correlation_spins_two_exc, "beta2"),
-    (reservoir_correlations_two_exc, "beta2"),
-    (classical_correlation_spins_one_exc, "alpha2"),
-    (quantum_correlation_spins_one_exc, "alpha2"),
-    (reservoir_correlations_one_exc, "alpha2"),
+    (classical_correlation_spins_two_exc, ("beta2", "xi2", "chi2")),
+    (reservoir_correlations_two_exc, ("beta2", "xi2", "chi2")),
+    (quantum_correlation_spins_one_exc, ("alpha2", "xi2", "chi2")),
+    (spins_one_exc_classical, ("beta2", "xi2", "chi2")),
+    (reservoirs_one_exc_classical, ("beta2", "chi2", "xi2")),
+    (reservoirs_one_exc_quantum, ("alpha2", "chi2", "xi2")),
 ]
 
 
@@ -863,14 +854,14 @@ class TestClosedFormArrays:
             want = np.array([concurrence_closed(family, alpha, beta, float(a), float(b)) for a, b in zip(x, y)])
             assert np.array_equal(bits(got), bits(want))
 
-    @pytest.mark.parametrize("fn,weight", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
+    @pytest.mark.parametrize("fn,names", CLOSED_FORMS, ids=[f.__name__ for f, _ in CLOSED_FORMS])
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad", [-0.2, 1.2, np.nan])
-    def test_out_of_range_entry_named(self, fn, weight, position, bad):
+    def test_out_of_range_entry_named(self, fn, names, position, bad):
         args = [np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5)]
         args[position][3] = bad
-        name = (weight, "xi2", "chi2")[position]
-        with pytest.raises(ValueError, match=name):
+        name = names[position]
+        with pytest.raises(ValueError, match=f"{name} = "):
             fn(*args)
 
     @pytest.mark.parametrize("args,name", [

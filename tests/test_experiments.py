@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinboson import experiments
-from spinboson.correlations import concurrence_wootters, quantum_correlation_spins_two_exc
+from spinboson.correlations import classical_correlation_spins_two_exc, concurrence_wootters
 from spinboson.experiments import (
     SERIES_MEASURES,
     SQUARE_SUM_PARTITIONS,
@@ -280,7 +280,7 @@ class TestSquareSumAudit:
 
     def test_initial_value_is_spin_term(self, flat_sweep):
         sums = square_sum_series(flat_sweep, "classical")
-        c0 = quantum_correlation_spins_two_exc(0.5, 1.0, 0.0)
+        c0 = classical_correlation_spins_two_exc(0.5, 1.0, 0.0)
         assert abs(sums[0] - c0**2) < 1e-9
 
     def test_transfer_breaks_monotonicity(self, flat_sweep):
@@ -331,7 +331,8 @@ class TestRootFinding:
         for gamma_t in np.linspace(math.log(1.5) + 0.01, math.log(1.5) + 0.3, 7):
             amps = amplitudes_flat(gamma_t)
             assert spin_concurrence(gamma_t) == 0.0
-            q = quantum_correlation_spins_two_exc(beta**2, amps.xi**2, amps.chi**2)
+            # Q = C in the two-excitation family
+            q = classical_correlation_spins_two_exc(beta**2, amps.xi**2, amps.chi**2)
             assert q > 1e-6
 
     def test_boundary_validation(self):

@@ -304,6 +304,14 @@ class TestOneValidator:
                 build()
             assert str(exc.value).startswith("config: ") and field in str(exc.value)
 
+    @pytest.mark.parametrize("alpha,beta,field", [(True, False, "alpha"), (1.0, False, "beta")])
+    def test_bool_weights_rejected(self, alpha, beta, field):
+        # bool is an int to isinstance, so (True, False) passed as the unit pair (1, 0);
+        # a document's true is rejected by the number check of alpha_re etc.
+        for build in self.builds({}, alpha=alpha, beta=beta)[1:]:
+            with pytest.raises(ValueError, match=f"^config: {field} must be a number, got (True|False)$"):
+                build()
+
     def test_cases_cover_every_field(self):
         assert {case[0] for case in INVALID_FIELDS} == {f.name for f in fields(RunConfig)}
 

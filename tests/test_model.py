@@ -325,6 +325,12 @@ class TestScenario:
         with pytest.raises(ValueError, match="0"):
             Scenario("two_exc", 1.0, 0.0, flat, np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, complex(math.nan, 0.0)), (complex(0.0, math.nan), 0.0)])
+    def test_nan_weights_rejected(self, alpha, beta):
+        # NaN fails every comparison, so |norm - 1| > 1e-10 let it through
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 = nan"):
+            Scenario("two_exc", alpha, beta, SpectralDensity("flat", gamma=1.0), np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("grid", [[0.0, np.inf, np.inf], [0.0, np.nan]])
     def test_non_finite_grid_rejected(self, grid):
         # [0, inf, inf] passed the increasing check: inf - inf is nan, and nan <= 0 is False

@@ -5,16 +5,21 @@ every run checks the same states.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinboson.correlations import (
     _OFF_X,
     SIDES,
     classical_correlation_batch,
+    classical_correlation_spins_two_exc,
     concurrence_batch,
+    concurrence_closed,
     mutual_information_batch,
+    quantum_correlation_spins_one_exc,
+    reservoir_correlations_two_exc,
 )
+from spinboson.model import FAMILIES, Amplitudes, pure_state, reduced_batch
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -135,3 +140,30 @@ def test_pure_x_state_concurrence(x, parallel):
     rho = np.outer(psi, psi.conj())
     assert np.all(rho[_OFF_X] == 0.0)
     assert abs(concurrence_batch(rho[None])[0] - 2.0 * abs(z[0]) * abs(z[1])) < 1e-15
+
+
+@PROPERTY
+@given(st.sampled_from(FAMILIES), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+@example("two_exc", 0.0, 0.0, False)
+@example("one_exc", 1.0, 1.0, False)
+@example("two_exc", 0.1, 0.5, False)
+@example("one_exc", 0.1, 0.5, False)
+def test_closed_forms_mirror_onto_the_reservoirs(family, alpha2, xi2, negative):
+    # the spin pair's closed forms at (xi, chi) and the reservoir pair's at
+    # (chi, xi) meet the brute-force route; xi may be negative, as under a
+    # Lorentzian spectrum
+    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+    xi, chi = (-1.0 if negative else 1.0) * np.sqrt(xi2), np.sqrt(1.0 - xi2)
+    psi = pure_state(family, alpha, beta, Amplitudes(xi, chi))
+    for part, (x, y) in (("s1s2", (xi, chi)), ("r1r2", (chi, xi))):
+        rhos = reduced_batch(psi[None], part)
+        c_brute = classical_correlation_batch(rhos)[0]
+        q_brute = mutual_information_batch(rhos) - c_brute
+        c = classical_correlation_spins_two_exc(1.0 - alpha2, x * x, y * y)
+        q = c if family == "two_exc" else quantum_correlation_spins_one_exc(alpha2, x * x, y * y)
+        assert abs(c - c_brute[0]) <= 1e-12
+        assert abs(q - q_brute[0]) <= 1e-12
+        assert abs(concurrence_closed(family, alpha, beta, x, y) - concurrence_batch(rhos)[0]) <= 1e-12
+    if family == "two_exc":
+        # the reservoir pair's own name for the mirrored form, c of r1r2 above: the same bits
+        assert reservoir_correlations_two_exc(1.0 - alpha2, xi * xi, chi * chi) == (c, c)
