@@ -298,14 +298,15 @@ def discord_from(info, classical) -> np.ndarray:
 
 
 def _floor_roundoff(values: np.ndarray, who: str) -> np.ndarray:
-    """Entropy differences with round-off in [-1e-8, 0) set to 0; raises on anything lower or not finite."""
+    """Entropy differences with round-off in [-1e-8, 0) set to 0, a scalar kept scalar; raises on lower or non-finite."""
+    values = np.asarray(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"{who}: non-finite value {values.flat[bad[0]]} at index {bad[0]}")
     if np.any(values < -1e-8):
         raise ValueError(f"{who}: negative value {values.min():.3e} beyond clamp")
     # not np.maximum, which can keep -0.0
-    return np.where(values > 0.0, values, 0.0)
+    return np.where(values > 0.0, values, 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +345,8 @@ def _classical(beta2, x2, y2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = 4.0 * beta2 * (1.0 - beta2) * x2 * x2 * y2 / np.maximum((1.0 + s) * (1.0 + s - 2.0 * x2), _TINY)
         small = d * np.log((1.0 - p) / p) - q * np.log1p(d / q) - (1.0 - q) * np.log1p(-d / (1.0 - q))
-    return np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))[()]
+    c = np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))
+    return _floor_roundoff(c, "closed-form C")
 
 
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -377,7 +379,8 @@ def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) ->
     alpha2, xi2, chi2 = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
     u = (1.0 - alpha2) * xi2 * chi2
     disturbed = binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
-    return -binary_entropy(xi2) + binary_entropy(alpha2 * xi2) + disturbed
+    q = -binary_entropy(xi2) + binary_entropy(alpha2 * xi2) + disturbed
+    return _floor_roundoff(q, "closed-form Q")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Configs are JSON documents; every run is reproducible from its config
 alone.  CSV output uses a fixed header and 12-significant-digit floats and
-is byte-identical across runs and thread counts.  Plots are plain SVG 1.1
-text with no external assets, so they diff cleanly in version control.
+is byte-identical across runs.  Plots are plain SVG 1.1 text with no
+external assets, so they diff cleanly in version control.
 Numbers are formatted in batches, by one %-template per grid time (CSV
 rows) or per series (SVG paths).  Files are written to a temporary file
 and renamed into place; the CSV streams there in chunks of grid times.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -429,18 +428,15 @@ def figure_config(name: str, weights: tuple[float, float] = _BELL, **overrides) 
     return replace(FIGURE_CONFIGS[name], alpha=weights[0], beta=weights[1], **overrides)
 
 
-def emit_figures(out_dir, workers: int = 1, **overrides) -> list[Path]:
+def emit_figures(out_dir, **overrides) -> list[Path]:
     """Compute and write the four built-in figure datasets and plots.
 
     Each figure yields one CSV (the Bell-state sweep) and one SVG with the
-    lopsided-weights sweep overlaid.  The eight independent sweeps run on
-    ``workers`` threads (one for ``workers`` <= 1) and the files are written
-    in order, so output bytes depend only on the configs.
+    lopsided-weights sweep overlaid.  Output bytes depend only on the configs.
     """
     out_dir = Path(out_dir)
-    configs = [figure_config(name, weights, **overrides) for name in FIGURE_CONFIGS for weights in (_BELL, _LOPSIDED)]
-    with futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(lambda cfg: run_sweep(**cfg.sweep_args()), configs))
+    results = [run_sweep(**figure_config(name, weights, **overrides).sweep_args())
+               for name in FIGURE_CONFIGS for weights in (_BELL, _LOPSIDED)]
     paths: list[Path] = []
     for name, res, res_overlay in zip(FIGURE_CONFIGS, results[::2], results[1::2]):
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))

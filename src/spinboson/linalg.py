@@ -96,7 +96,7 @@ def entropy2_batch(mats: np.ndarray) -> np.ndarray:
     return binary_entropy(lam)
 
 
-def random_pure_state(rng: np.random.Generator, dim: int = 16) -> np.ndarray:
-    """Haar-like random pure state vector (complex normal, normalised)."""
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def random_pure_state(rng: np.random.Generator) -> np.ndarray:
+    """Haar-like random pure state of 16 amplitudes (complex normal, normalised)."""
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     return psi / np.linalg.norm(psi)

@@ -19,7 +19,7 @@ states take a whole time grid as one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +148,7 @@ class Scenario:
     alpha: complex
     beta: complex
     spectral: SpectralDensity
-    time_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 5.0, 101))
+    time_grid: np.ndarray
 
     def __post_init__(self):
         if self.family not in FAMILIES:

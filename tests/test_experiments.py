@@ -344,6 +344,12 @@ class TestRootFinding:
         with pytest.raises(ValueError, match="lo < hi"):
             bisect_positive_boundary(lambda x: 1.0 - x, float("nan"), 2.0)
 
+    def test_zero_tolerance_stops_at_adjacent_floats(self):
+        # with no tolerance the bracket closes to two adjacent floats, however
+        # many halvings that takes (about 1,050 here)
+        root = bisect_positive_boundary(lambda x: 1e-300 - x, 0.0, 1.0, tol=0.0)
+        assert abs(root - 1e-300) <= math.ulp(1e-300)
+
 
 class TestSeriesDiagnostics:
     def test_sign_changes(self):

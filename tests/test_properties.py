@@ -148,10 +148,12 @@ def test_pure_x_state_concurrence(x, parallel):
 @example("one_exc", 1.0, 1.0, False)
 @example("two_exc", 0.1, 0.5, False)
 @example("one_exc", 0.1, 0.5, False)
+@example("two_exc", 0.0, 0.0005, False)  # a product state: reservoir C is round-off near -1.8e-15
+@example("one_exc", 0.0, 0.003, False)  # a product state: reservoir Q is round-off near -2.8e-17
 def test_closed_forms_mirror_onto_the_reservoirs(family, alpha2, xi2, negative):
     # the spin pair's closed forms at (xi, chi) and the reservoir pair's at
-    # (chi, xi) meet the brute-force route; xi may be negative, as under a
-    # Lorentzian spectrum
+    # (chi, xi) meet the brute-force route and never round below zero; xi
+    # may be negative, as under a Lorentzian spectrum
     alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
     xi, chi = (-1.0 if negative else 1.0) * np.sqrt(xi2), np.sqrt(1.0 - xi2)
     psi = pure_state(family, alpha, beta, Amplitudes(xi, chi))
@@ -161,6 +163,7 @@ def test_closed_forms_mirror_onto_the_reservoirs(family, alpha2, xi2, negative):
         q_brute = mutual_information_batch(rhos) - c_brute
         c = classical_correlation_spins_two_exc(1.0 - alpha2, x * x, y * y)
         q = c if family == "two_exc" else quantum_correlation_spins_one_exc(alpha2, x * x, y * y)
+        assert c >= 0.0 and q >= 0.0
         assert abs(c - c_brute[0]) <= 1e-12
         assert abs(q - q_brute[0]) <= 1e-12
         assert abs(concurrence_closed(family, alpha, beta, x, y) - concurrence_batch(rhos)[0]) <= 1e-12
