@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy, entropy2_batch, entropy_from_eigenvalues, require_state
+from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy, entropy2_batch, entropy_from_eigenvalues,
+                     require_finite, require_state)
 
 # the spin flip of Wootters' concurrence
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
@@ -299,10 +300,7 @@ def discord_from(info, classical) -> np.ndarray:
 
 def _floor_roundoff(values: np.ndarray, who: str) -> np.ndarray:
     """Entropy differences with round-off in [-1e-8, 0) set to 0, a scalar kept scalar; raises on lower or non-finite."""
-    values = np.asarray(values)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"{who}: non-finite value {values.flat[bad[0]]} at index {bad[0]}")
+    values = require_finite(values, who)
     if np.any(values < -1e-8):
         raise ValueError(f"{who}: negative value {values.min():.3e} beyond clamp")
     # not np.maximum, which can keep -0.0

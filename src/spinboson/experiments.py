@@ -31,7 +31,7 @@ from .correlations import (
     quantum_correlation_spins_one_exc,
     reservoir_correlations_two_exc,
 )
-from .linalg import binary_entropy
+from .linalg import binary_entropy, require_finite
 from .model import PARTITION_ORDER, PARTITIONS, Scenario, amplitudes_flat, reduced_batch, state_batch
 
 PIPELINES = ("closed_form", "brute_force", "both")
@@ -339,28 +339,29 @@ def bisect_positive_boundary(f, lo: float, hi: float, tol: float = 1e-9) -> floa
         raise ValueError("bisect_positive_boundary: f(lo) must be positive")
     if f(hi) > 0.0:
         raise ValueError("bisect_positive_boundary: f(hi) must not be positive")
+    # halves first: lo + hi overflows to inf near the top of the float range
     while not hi - lo < tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:  # no float left between the ends
             break
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def count_sign_changes(values) -> int:
-    """Number of strict sign flips along a sampled series (zeros skipped)."""
-    v = np.asarray(values, dtype=float)
+    """Number of strict sign flips along a finite sampled series (zeros skipped)."""
+    v = require_finite(values, "count_sign_changes")
     s = np.sign(v)
     s = s[s != 0.0]
     return int(np.sum(s[:-1] != s[1:]))
 
 
 def count_local_maxima(values) -> int:
-    """Strict interior local maxima of a sampled series."""
-    v = np.asarray(values, dtype=float)
+    """Strict interior local maxima of a finite sampled series."""
+    v = require_finite(values, "count_local_maxima")
     if v.size < 3:
         return 0
     return int(np.sum((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])))

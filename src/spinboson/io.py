@@ -1,9 +1,10 @@
 """Run configuration, CSV datasets and static SVG plots.
 
-Configs are JSON documents; every run is reproducible from its config
-alone.  CSV output uses a fixed header and 12-significant-digit floats and
-is byte-identical across runs.  Plots are plain SVG 1.1 text with no
-external assets, so they diff cleanly in version control.
+Configs are JSON documents that hold every setting of a run (the command
+line adds only the output directory), so every run is reproducible from
+its config alone.  CSV output uses a fixed header and 12-significant-digit
+floats and is byte-identical across runs.  Plots are plain SVG 1.1 text
+with no external assets, so they diff cleanly in version control.
 Numbers are formatted in batches, by one %-template per grid time (CSV
 rows) or per series (SVG paths).  Files are written to a temporary file
 and renamed into place; the CSV streams there in chunks of grid times.
@@ -28,7 +29,7 @@ CSV_HEADER = ",".join(("time", "partition", "pipeline", *SERIES_MEASURES, "measu
 PIPELINE_NAMES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
 # config keys that set the RunConfig field of the same name to their value
-_FIELD_KEYS = {"time_start", "time_end", "time_steps", "partitions", "pipeline", "out_dir", "grid",
+_FIELD_KEYS = {"time_start", "time_end", "time_steps", "partitions", "pipeline", "grid",
                "refine_iters", "side", "svg"}
 
 _TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral"}
@@ -92,7 +93,6 @@ class RunConfig:
     time_steps: int = 101
     partitions: tuple = PARTITION_ORDER
     pipeline: str = "both"
-    out_dir: str | None = None
     grid: int = 64
     refine_iters: int = 4
     side: str = "second"
@@ -157,8 +157,6 @@ class RunConfig:
         put("partitions", check_partitions(self.partitions, "config"))
         if not isinstance(self.svg, bool):
             raise ValueError("config: svg must be a boolean")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ValueError("config: out_dir must be a string path")
 
     def _time_grid(self) -> np.ndarray:
         return np.linspace(self.time_start, self.time_end, self.time_steps) * self.spectral.rate
@@ -415,27 +413,27 @@ FIGURE_CONFIGS = {
 }
 
 
-def figure_config(name: str, weights: tuple[float, float] = _BELL, **overrides) -> RunConfig:
+def figure_config(name: str, weights: tuple[float, float] = _BELL) -> RunConfig:
     """RunConfig for one built-in figure scenario.
 
     ``weights`` selects the initial amplitudes: the Bell pair by default,
     or the lopsided (1/sqrt(10), 3/sqrt(10)) pair used for the second
-    curve family of every reference figure.  ``overrides`` are RunConfig
-    field names, checked as ``dataclasses.replace`` checks them.
+    curve family of every reference figure.  Other settings come by
+    ``dataclasses.replace(figure_config(name), grid=16)``, which checks them.
     """
     if name not in FIGURE_CONFIGS:
         raise ValueError(f"figure_config: unknown figure {name!r}")
-    return replace(FIGURE_CONFIGS[name], alpha=weights[0], beta=weights[1], **overrides)
+    return replace(FIGURE_CONFIGS[name], alpha=weights[0], beta=weights[1])
 
 
-def emit_figures(out_dir, **overrides) -> list[Path]:
+def emit_figures(out_dir) -> list[Path]:
     """Compute and write the four built-in figure datasets and plots.
 
     Each figure yields one CSV (the Bell-state sweep) and one SVG with the
     lopsided-weights sweep overlaid.  Output bytes depend only on the configs.
     """
     out_dir = Path(out_dir)
-    results = [run_sweep(**figure_config(name, weights, **overrides).sweep_args())
+    results = [run_sweep(**figure_config(name, weights).sweep_args())
                for name in FIGURE_CONFIGS for weights in (_BELL, _LOPSIDED)]
     paths: list[Path] = []
     for name, res, res_overlay in zip(FIGURE_CONFIGS, results[::2], results[1::2]):

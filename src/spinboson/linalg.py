@@ -5,7 +5,8 @@ plus two collective reservoir modes).  Spectra come from numpy's LAPACK
 eigensolver (``np.linalg.eigh``/``eigvalsh``), which diagonalises each
 matrix of a stack on its own, so a state's eigenvalues do not depend on
 what else shares its batch.  :func:`require_state` is the one check of a
-single density matrix that the public single-state functions share.
+single density matrix that the public single-state functions share, and
+:func:`require_finite` the one check that a series holds no NaN or infinity.
 
 All entropies are in bits (log base 2).
 """
@@ -23,6 +24,15 @@ _EIG_REJECT = -1e-8
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def require_finite(values, who: str) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinity raises, naming its index."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{who}: non-finite value {values.flat[bad[0]]} at index {bad[0]}")
+    return values
 
 
 def require_state(rho: np.ndarray, who: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:

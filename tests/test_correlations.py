@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -557,7 +558,8 @@ class TestOptimizerConvergence:
         # meet the closed forms, and a state mixed with 1e-14 of a general
         # one must not overshoot them
         config = (RunConfig("two_exc", 0.70710678, 0.70710678, SpectralDensity("flat", gamma=1.0), time_end=30.0,
-                            time_steps=301) if name == "late_flat_bell" else figure_config(name, time_steps=801))
+                            time_steps=301) if name == "late_flat_bell"
+                  else replace(figure_config(name), time_steps=801))
         scenario = config.scenario()
         result = run_sweep(scenario, ("s1s2", "r1r2"), "both", side)
         _, states = state_batch(scenario)

@@ -350,6 +350,12 @@ class TestRootFinding:
         root = bisect_positive_boundary(lambda x: 1e-300 - x, 0.0, 1.0, tol=0.0)
         assert abs(root - 1e-300) <= math.ulp(1e-300)
 
+    def test_bracket_near_the_top_of_the_float_range(self):
+        # lo + hi overflows to inf here, so the midpoint must come from the halves
+        root = bisect_positive_boundary(lambda x: 1.2e308 - x, 1e308, 1.5e308)
+        assert math.isfinite(root)
+        assert abs(root - 1.2e308) <= math.ulp(1.2e308)
+
 
 class TestSeriesDiagnostics:
     def test_sign_changes(self):
@@ -361,6 +367,14 @@ class TestSeriesDiagnostics:
         xs = np.linspace(0.0, 4.0 * np.pi, 400)
         assert count_local_maxima(np.sin(xs)) == 2
         assert count_local_maxima([0.0, 1.0]) == 0
+
+    @pytest.mark.parametrize("counter", [count_sign_changes, count_local_maxima])
+    @pytest.mark.parametrize("series,index", [([1.0, math.nan, 1.0], 1), ([0.0, 2.0, 1.0, -math.inf, math.nan], 3)])
+    def test_non_finite_series_rejected(self, counter, series, index):
+        # NaN compares unequal to everything: it would count as two sign flips
+        # and hide any maximum beside it
+        with pytest.raises(ValueError, match=f"^{counter.__name__}: non-finite value .* at index {index}$"):
+            counter(series)
 
     def test_lorentz_amplitude_oscillates(self):
         taus = np.linspace(0.0, 1.0, 2001)

@@ -2,7 +2,9 @@ import cmath
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,18 +247,6 @@ class TestConfigHardening:
         assert "error: config: time_start, time_end and time_steps give a time grid that does not increase" in err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize(
-        "flags,field", [(["--grid", str(MAX_GRID + 1)], "grid"), (["--grid", "1"], "grid"),
-                        (["--refine", "-1"], "refine_iters"), (["--refine", "99"], "refine_iters")],
-    )
-    def test_cli_overrides_checked(self, tmp_path, capsys, flags, field):
-        # small enough that even an unchecked run would end quickly
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bell_doc()))
-        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)] + flags) == 2
-        assert field in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
-
 
 # At least one invalid value per RunConfig field: a config-document
 # override, the same value as a field, and a pattern of the message.
@@ -275,7 +265,6 @@ INVALID_FIELDS = [
     ("partitions", {"partitions": ["s1s9"]}, ("s1s9",), "unknown partition 's1s9' in partitions"),
     ("partitions", {"partitions": "s1s2"}, "s1s2", "partitions must be a list or tuple"),
     ("pipeline", {"pipeline": "fastest"}, "fastest", "pipeline must be one of"),
-    ("out_dir", {"out_dir": 5}, 5, "out_dir must be a string path"),
     ("grid", {"grid": 1}, 1, "grid is 1; must be in"),
     ("refine_iters", {"refine_iters": -1}, -1, "refine_iters is -1; must be in"),
     ("side", {"side": "both"}, "both", "side must be one of"),
@@ -345,7 +334,7 @@ def valid_configs(draw):
         time_steps=draw(st.integers(2, 500)),
         partitions=draw(st.lists(st.sampled_from(PARTITION_ORDER), min_size=1, unique=True)),
         pipeline=draw(st.sampled_from(tuple(PIPELINE_NAMES))), side=draw(st.sampled_from(SIDES)),
-        out_dir=draw(st.none() | st.just("results")), svg=draw(st.booleans()),
+        svg=draw(st.booleans()),
         grid=draw(st.integers(2, MAX_GRID)), refine_iters=draw(st.integers(0, MAX_REFINE_ITERS)),
     )
 
@@ -555,17 +544,6 @@ class TestFigureConfigs:
         with pytest.raises(ValueError, match="figure"):
             figure_config("flat_three_excitation")
 
-    @pytest.mark.parametrize("name", list(FIGURE_CONFIGS))
-    def test_overrides_are_runconfig_fields(self, name):
-        assert figure_config(name, time_steps=801, grid=16) == replace(figure_config(name), time_steps=801, grid=16)
-
-    def test_overrides_are_checked(self):
-        with pytest.raises(ValueError, match="grid"):
-            figure_config("flat_two_excitation", grid=0)
-        # replace() rejects a name that is not a RunConfig field
-        with pytest.raises(TypeError, match="gird"):
-            figure_config("flat_two_excitation", gird=16)
-
 
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path, capsys):
@@ -645,53 +623,57 @@ class TestCli:
 
     def test_oracle_writes_bruteforce_only(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bell_doc()))
-        rc = main(["oracle", str(cfg_path), "--out", str(tmp_path), "--grid", "12", "--refine", "2"])
+        cfg_path.write_text(json.dumps(bell_doc(grid=12, refine_iters=2)))
+        rc = main(["oracle", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "oracle.csv").read_text()
         assert "closed_form" not in text
         assert "brute_force" in text
 
-    def test_flag_overrides(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bell_doc(side="second")))
-        rc = main(
-            ["oracle", str(cfg_path), "--out", str(tmp_path), "--grid", "8", "--refine", "1", "--side", "first"]
-        )
-        assert rc == 0
-        assert ",first" in (tmp_path / "oracle.csv").read_text()
-
     @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("figures", ["--side", "first"]),
-            ("figures", ["--pipeline", "closed"]),
-            ("audit", ["--pipeline", "both"]),
-            ("audit", ["--out", "out"]),
-            ("oracle", ["--pipeline", "brute"]),
-        ],
+        "argv",
+        [[command, flag, value] for command in ("sweep", "audit", "figures", "oracle")
+         for flag, value in (("--grid", "8"), ("--refine", "1"), ("--side", "first"), ("--pipeline", "brute"))]
+        + [["audit", "--out", "out"]],
+        ids=lambda argv: " ".join(argv[:2]),
     )
-    def test_flags_a_subcommand_would_ignore_are_usage_errors(self, tmp_path, monkeypatch, capsys, command, flag):
+    def test_only_out_is_a_flag(self, tmp_path, monkeypatch, capsys, argv):
+        # every run setting comes from the config file, and audit writes no files
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.json").write_text(json.dumps(bell_doc()))
-        argv = [command] + ([] if command == "figures" else ["run.json"])
+        (tmp_path / "run.json").write_text(json.dumps(bell_doc(grid=8, refine_iters=1)))
+        config = [] if argv[0] == "figures" else ["run.json"]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--grid", "8", "--refine", "1"] + flag)
+            main(argv[:1] + config + argv[1:])
         assert exc.value.code == 2
-        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_out_defaults_to_the_current_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(bell_doc(grid=8, refine_iters=1, svg=True)))
+        assert main(["sweep", "run.json"]) == 0
+        assert main(["oracle", "run.json"]) == 0
+        assert capsys.readouterr().out.split() == ["sweep.csv", "sweep.svg", "oracle.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.csv", "run.json", "sweep.csv", "sweep.svg"]
+
+    def test_out_dir_key_rejected(self, tmp_path, capsys):
+        # --out is the one way to say where files go
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bell_doc(out_dir=str(tmp_path / "elsewhere"))))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "error: config: unknown key 'out_dir'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_sweep_takes_pipeline_and_side(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bell_doc(side="second")))
-        flags = ["--grid", "8", "--refine", "1", "--pipeline", "brute", "--side", "first"]
-        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)] + flags) == 0
+        cfg_path.write_text(json.dumps(bell_doc(grid=8, refine_iters=1, pipeline="brute", side="first")))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 0
         text = (tmp_path / "sweep.csv").read_text()
         assert "closed_form" not in text
         assert ",first" in text
 
     def test_figures_fast_settings(self, tmp_path):
-        rc = main(["figures", "--out", str(tmp_path / "figs"), "--grid", "8", "--refine", "1"])
+        rc = main(["figures", "--out", str(tmp_path / "figs")])
         assert rc == 0
         names = sorted(p.name for p in (tmp_path / "figs").iterdir())
         assert len(names) == 8
@@ -702,6 +684,18 @@ class TestCli:
         for part in ("s1s2", "r1r2", "s1r1", "s1r2"):
             assert part in svg
         assert "overlay" in svg
+
+    @pytest.mark.parametrize("command", ["sweep", "audit", "figures", "oracle"])
+    def test_readme_usage_lists_the_parser_flags(self, capsys, command):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        usage = [line for line in block.splitlines() if line.split()[:2] == ["spinboson", command]]
+        assert len(usage) == 1, f"README has {len(usage)} usage lines for {command}"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        parser_flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", usage[0].split("#")[0])) == parser_flags
 
     def test_module_entry_point(self, tmp_path):
         import subprocess
