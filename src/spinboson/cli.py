@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,14 @@ def _cmd_oracle(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     # one sweep of both pipelines gives the agreement audit and, as brute-force
-    # values do not depend on the batch, the square sums of the four pairs
+    # values do not depend on the batch, the square sums of the four pairs,
+    # which compare with t = 0: a grid that starts later gets t = 0 put first
     partitions = tuple(dict.fromkeys(cfg.partitions + SQUARE_SUM_PARTITIONS))
-    result = run_sweep(**{**cfg.sweep_args("both"), "partitions": partitions})
+    sweep = {**cfg.sweep_args("both"), "partitions": partitions}
+    grid = sweep["scenario"].time_grid
+    if grid[0] > 0.0:
+        sweep["scenario"] = replace(sweep["scenario"], time_grid=np.concatenate(([0.0], grid)))
+    result = run_sweep(**sweep)
     outcomes = [agreement_audit(result)] + [square_sum_audit(result, measure) for measure in MEASURES]
 
     if cfg.spectral.kind == "flat":

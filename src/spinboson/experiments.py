@@ -71,8 +71,7 @@ class SweepResult:
 
     ``values[(partition, pipeline)]`` is a ``(4, T)`` array: one row per
     measure in ``SERIES_MEASURES`` order, one column per grid time.  ``side``
-    names the qubit the brute-force pipeline measured; the closed forms
-    measure the second.
+    names the qubit both pipelines measured.
     """
 
     scenario: Scenario
@@ -95,14 +94,18 @@ class SweepResult:
         return "brute_force" if any(pipe == "brute_force" for _, pipe in self.values) else "closed_form"
 
 
-def _closed_values(scenario: Scenario, x: np.ndarray, y: np.ndarray):
-    """Spin-pair closed-form (C, Q, concurrence) arrays at the amplitudes (x, y).
+def _closed_values(scenario: Scenario, side: str, x: np.ndarray, y: np.ndarray):
+    """Spin-pair closed-form (C, Q, concurrence) arrays at the amplitudes (x, y), measuring ``side``.
 
     The spin pair takes (xi, chi); the reservoir pair obeys the same
-    formulas with the two exchanged, so it takes (chi, xi).
+    formulas with the two exchanged, so it takes (chi, xi).  The formulas
+    measure the second qubit; exchanging (s1, r1) with (s2, r2) leaves
+    two_exc as it is and takes one_exc (alpha, beta) to (beta, alpha).
     """
     x2, y2 = x**2, y**2
     alpha, beta, family = scenario.alpha, scenario.beta, scenario.family
+    if family == "one_exc" and side == "first":
+        alpha, beta = beta, alpha
     cs = classical_correlation_spins_two_exc(abs(beta) ** 2, x2, y2)
     qs = cs if family == "two_exc" else quantum_correlation_spins_one_exc(abs(alpha) ** 2, x2, y2)
     return cs, qs, concurrence_closed(family, alpha, beta, x, y)
@@ -146,7 +149,7 @@ def run_sweep(
     amplitudes = {"s1s2": (xi, chi), "r1r2": (chi, xi)}
     for part in partitions:
         if pipeline != "brute_force" and part in CLOSED_FORM_PARTITIONS:
-            cs, qs, cons = _closed_values(scenario, *amplitudes[part])
+            cs, qs, cons = _closed_values(scenario, side, *amplitudes[part])
             values[part, "closed_form"] = np.stack((cs + qs, cs, qs, cons))
     if pipeline != "closed_form":
         # one call per measure on the reduced states of every partition
@@ -297,12 +300,15 @@ def square_sum_audit(result: SweepResult, measure: str) -> AuditOutcome:
     """No net creation of correlation: sum of squares never tops its start.
 
     Passes when measure(t)^2 summed over the four non-interacting pairs
-    stays below its t = 0 value (within 1e-9) on the whole grid.  The
-    sum is *not* monotone in general: the reservoir share grows back
-    toward the initial value as the transfer completes, and under a
-    Lorentzian spectrum everything oscillates, so sample-to-sample
-    monotonicity is only reported as a diagnostic.
+    stays below its t = 0 value (within 1e-9) on the whole grid, which
+    must start at t = 0.  The sum is *not* monotone in general: the
+    reservoir share grows back toward the initial value as the transfer
+    completes, and under a Lorentzian spectrum everything oscillates, so
+    sample-to-sample monotonicity is only reported as a diagnostic.
     """
+    start = result.scenario.time_grid[0]
+    if start != 0.0:
+        raise ValueError(f"square_sum_audit: the time grid must start at t = 0, got first time {start:g}")
     sums = square_sum_series(result, measure)
     excess = sums - sums[0]
     steps = np.diff(sums)

@@ -255,8 +255,7 @@ def emit_csv(result: SweepResult, path) -> Path:
     """
     pairs = sorted(result.values)
     # a grid time's rows: its time string joins the segments, its row of the (T, 4 pairs) stack fills them
-    sides = {"brute_force": result.side}
-    segments = [""] + [f",{part},{pipe}{',%.12g' * 4},{sides.get(pipe, 'second')}\n" for part, pipe in pairs]
+    segments = [""] + [f",{part},{pipe}{',%.12g' * 4},{result.side}\n" for part, pipe in pairs]
     times = result.times()
     stack = np.concatenate([result.values[pair] for pair in pairs]).T
 

@@ -161,6 +161,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="discord"):
             run_sweep(sc, ("s1r2",), "brute_force", grid=8, refine_iters=1)
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("spectral", [FLAT, LORENTZ], ids=["flat", "lorentz"])
+    @pytest.mark.parametrize("family", ["two_exc", "one_exc"])
+    def test_closed_forms_measure_the_side(self, family, spectral, side):
+        # the closed forms used to measure the second qubit whatever the side, so
+        # one_exc C and Q at unequal weights missed the brute rows by up to 5e-2
+        sc = Scenario(family, 0.6, 0.8j, spectral, np.linspace(0.0, 3.0, 31))
+        res = run_sweep(sc, ("s1s2", "r1r2"), "both", side)
+        for part in ("s1s2", "r1r2"):
+            # the C, Q and concurrence rows
+            off = np.abs(res.values[part, "closed_form"][1:] - res.values[part, "brute_force"][1:])
+            assert off.max() <= 1e-12, f"{part}: off by {off.max():.3e}"
+
     def test_closed_form_rejected_off_diagonal_pairs(self):
         sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="closed-form"):
@@ -315,6 +328,13 @@ class TestSquareSumAudit:
     def test_unknown_measure(self, flat_sweep):
         with pytest.raises(ValueError, match="measure"):
             square_sum_audit(flat_sweep, "purity")
+
+    def test_grid_must_start_at_zero(self):
+        # the sums used to be compared with their value at the first grid time
+        sc = Scenario("two_exc", *BELL, FLAT, np.linspace(0.5, 5.0, 10))
+        res = run_sweep(sc, SQUARE_SUM_PARTITIONS, "brute_force", grid=8, refine_iters=1)
+        with pytest.raises(ValueError, match="must start at t = 0, got first time 0.5"):
+            square_sum_audit(res, "quantum")
 
 
 class TestRootFinding:

@@ -433,8 +433,7 @@ def reference_csv(result):
     for i, t in enumerate(result.times()):
         for part, pipe in pairs:
             cells = [f"{result.series(part, pipe, m)[i]:.12g}" for m in SERIES_MEASURES]
-            side = result.side if pipe == "brute_force" else "second"
-            lines.append(",".join([f"{t:.12g}", part, pipe, *cells, side]))
+            lines.append(",".join([f"{t:.12g}", part, pipe, *cells, result.side]))
     return "\n".join(lines) + "\n"
 
 
