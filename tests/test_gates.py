@@ -1,5 +1,6 @@
 """End-to-end gates: the CLI on the README config and on late flat and Lorentzian
-configs, and the optimiser on the benchmark's seed-1 panel (perfbench/ is only read)."""
+configs, the figures' and the README config's plots, and the optimiser on the
+benchmark's seed-1 panel (perfbench/ is only read)."""
 
 import json
 import re
@@ -11,10 +12,11 @@ import pytest
 
 from spinboson.cli import main
 from spinboson.correlations import classical_correlation_batch
+from spinboson.io import FIGURE_CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-import reference  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 README_DOC = json.loads(re.search(r"^```json\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S).group(1))
@@ -76,13 +78,25 @@ def test_lorentzian_audit(family, side, tmp_path, capsys):
     assert float(lines[0][2].removeprefix("margin=")) <= 1e-12
 
 
+def test_short_series_keep_every_point(tmp_path, capsys):
+    # 81 and 101 grid times are below 4 per pixel column of a panel, so every
+    # path of the figures and of the README config's plot draws every grid time
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    assert cli("sweep", README_DOC, tmp_path, capsys)[0] == 0
+    plots = [(f"{name}.svg", cfg.time_steps, 16) for name, cfg in FIGURE_CONFIGS.items()]
+    for name, steps, count in plots + [("sweep.svg", README_DOC["time_steps"], 8)]:
+        paths = re.findall(r'<path d="M ([^"]*)"', (tmp_path / name).read_text())
+        assert [len(d.split(" L ")) for d in paths] == [steps] * count, name
+
+
 @pytest.fixture(scope="module")
 def panel():
     """The benchmark's seed-1 panel and its reference C per measured side."""
     rhos = workloads.reduce_all(workloads.random_states(workloads.PANEL_SEED))
     swapped = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 4, 4)
-    # the reference does not depend on (grid, refine): one call per side
-    return rhos, {"second": reference.classical_correlation(rhos), "first": reference.classical_correlation(swapped)}
+    # the reference does not depend on (grid, refine): one call per side, cached by
+    # the benchmark under .perfbench/cache, keyed by the states and the reference's source
+    return rhos, {"second": run.reference_c(rhos), "first": run.reference_c(swapped)}
 
 
 @pytest.mark.parametrize("side", ["second", "first"])

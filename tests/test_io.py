@@ -34,6 +34,7 @@ from spinboson.io import (
     PIPELINE_NAMES,
     RunConfig,
     _atomic_write,
+    _m4_indices,
     emit_csv,
     emit_svg_plot,
     figure_config,
@@ -499,6 +500,33 @@ class TestEmitBytes:
         assert paths == reference_paths(res, ("quantum", "classical"))
         assert len(paths) == 6
 
+    def test_svg_paths_at_the_threshold_match_reference(self, tmp_path):
+        # 1,520 times, 4 per pixel column of a 380-pixel panel: every point is drawn
+        times = np.sort(np.concatenate([np.abs(AWKWARD[1:]), [0.0], np.linspace(2.0, 3.0, 1509)]))
+        res = awkward_result(times)
+        text = emit_svg_plot(res, tmp_path / "p.svg").read_text()
+        paths = [line.split('"')[1] for line in text.splitlines() if line.startswith("<path ")]
+        assert paths == reference_paths(res, ("quantum", "classical"))
+        assert len(times) == 1520
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: awkward_result(np.sort(np.concatenate([np.abs(AWKWARD[1:]), [0.0], np.linspace(2.0, 3.0, 1510)]))),
+        # closed_long's scenario in the benchmark
+        lambda: run_sweep(Scenario("one_exc", 0.6, 0.8, SpectralDensity("lorentz", W=math.sqrt(200.0), lam=1.0),
+                                   np.linspace(0.0, 2.0, 10_001)), ("s1s2", "r1r2"), "closed_form"),
+    ], ids=["1521_times", "closed_lorentz_10001"])
+    def test_long_svg_paths_draw_fewer_reference_points(self, sweep, tmp_path):
+        # past 4 points per pixel column a path keeps at most 4 per column, among
+        # them both ends of the series, all drawn as the reference draws them
+        res = sweep()
+        text = emit_svg_plot(res, tmp_path / "p.svg").read_text()
+        drawn = [d.split(" L ") for d in re.findall(r'<path d="M ([^"]*)"', text)]
+        want = [d.removeprefix("M ").split(" L ") for d in reference_paths(res, ("quantum", "classical"))]
+        assert len(drawn) == len(want) >= 4
+        for points, ref in zip(drawn, want):
+            assert len(points) <= 4 * 380 < len(ref) == len(res.times())
+            assert points[0] == ref[0] and points[-1] == ref[-1] and set(points) <= set(ref)
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_file_mode_follows_umask(self, tmp_path, umask, mode):
         # the temp file used to be made by mkstemp, so every output was 0600
@@ -521,6 +549,35 @@ class TestEmitBytes:
             _atomic_write(target, chunks())
         assert target.read_bytes() == b"old bytes\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+@st.composite
+def m4_series(draw):
+    """Drawn x offsets of increasing times, values with ties, and a panel width in pixels."""
+    pw, size = draw(st.integers(1, 8)), draw(st.integers(2, 100))
+    times = np.cumsum(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)))
+    vals = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+    # the panel's time range need not be the series' own, as for an overlay
+    lo, span = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 1.5))
+    return (times - times[0] - lo * times[-1]) / (span * times[-1]) * pw, np.array(vals) / 8.0, pw
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m4_series())
+def test_m4_keeps_every_column_extreme(series):
+    x, vals, pw = series
+    keep = _m4_indices(x, vals, pw)
+    assert np.all(np.diff(keep) > 0)
+    if vals.size <= 4 * pw:
+        assert keep.tolist() == list(range(vals.size))
+        return
+    assert keep[0] == 0 and keep[-1] == vals.size - 1
+    col = np.clip(np.floor(x), 0, pw - 1)
+    for c in np.unique(col):
+        members = np.flatnonzero(col == c)
+        kept = np.intersect1d(keep, members)
+        assert kept.size <= 4 and members[0] in kept and members[-1] in kept
+        assert vals[kept].min() == vals[members].min() and vals[kept].max() == vals[members].max()
 
 
 class TestFigureConfigs:
