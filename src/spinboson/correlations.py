@@ -56,8 +56,12 @@ _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 # state is undefined and the branch contributes nothing.
 _P_FLOOR = 1e-14
 
+# Bounds of grid and refine_iters, far above any value in use; classical_correlation_batch gives the axes they cost.
+MAX_GRID = 256
+MAX_REFINE_ITERS = 20
+
 # Measurement axes per slice of states, bounding the (states, axes) work arrays
-# to 32 KiB each; one state's first mesh at io.MAX_GRID, 64 x 64 axes, fills a
+# to 32 KiB each; one state's first mesh at MAX_GRID, 64 x 63 + 1 axes, fills a
 # slice.  Timed interleaved in one process on a 2-vCPU Xeon (CPU time, medians
 # of 40 calls, two runs), 2^11 took 1.15-1.29x as long on the benchmark's seed-1
 # panel of 606 general states and on the README sweep's 606 X states, and 2^13
@@ -68,6 +72,13 @@ _SLICE_AXES = 2**12
 # Hessian.  On panel seeds 0-10 of the benchmark, both sides, the search ends at
 # most 1.6e-15 bits below its reference at grids 16 to 64.
 _H = 1e-4
+
+# A state leaves the Newton loop once its Hessian is negative definite and its full
+# Newton step models a gain of at most this, about 4 ulps of a 1-bit value.  On panel
+# seeds 0-10 of the benchmark and the README sweep, both sides, at grids 32 to 64, it
+# is the least of 1e-16, 5e-16 and 1e-15 that gives the same bits at refine 8, and C
+# ends 2.4e-15 below its reference (1.6e-15 with no exit, 1.1e-14 at 1e-14).
+_GAIN = 1e-15
 
 _TINY = np.finfo(float).tiny
 
@@ -107,25 +118,29 @@ def classical_correlation_batch(rhos: np.ndarray, side: str = "second", grid: in
                                 refine_iters: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force classical correlation for a stack of two-qubit states.
 
-    Scans an m x m mesh of the upper hemisphere, m = max(12, grid // 4):
-    polar angles theta in [0, pi/2] times azimuths phi in [0, 2 pi).  From
-    its best axis it takes 2 ``refine_iters`` Newton steps in the tangent
-    plane, each scoring the 3 x 3 stencil centred on its trial axis: m^2 +
-    9 (2 ``refine_iters`` + 1) axes.  States whose eight entries off the
+    Scans an m x m mesh of the upper hemisphere, m = max(12, grid // 4), the
+    pole once: polar angles theta in [0, pi/2] times azimuths phi in [0, 2
+    pi).  From its best axis it takes at most 2 ``refine_iters`` Newton steps
+    in the tangent plane, each scoring the 3 x 3 stencil centred on its trial
+    axis, and stops where a step can gain only round-off: at most m^2 - m + 1
+    + 9 (2 ``refine_iters`` + 1) axes.  States whose eight entries off the
     diagonal and the anti-diagonal are exactly zero (X states) scan ``grid``
     polar angles at one azimuth, known in closed form, and step in the polar
-    direction only, 3 axes a step: grid + 3 (2 ``refine_iters`` + 1) axes.
-    The search is deterministic and each state's result is independent of
-    its batch: each scan covers as many states as fit in ``_SLICE_AXES``
-    axes, and at least one.
+    direction only: at most grid + 3 (2 ``refine_iters`` + 1) axes.  ``grid``
+    is an integer in [2, MAX_GRID], ``refine_iters`` one in [0,
+    MAX_REFINE_ITERS].  The search is deterministic and a state's result
+    depends neither on its batch nor, once converged, on ``refine_iters``:
+    each scan covers as many states as fit in ``_SLICE_AXES`` axes.
 
     Returns (values, thetas, phis), each of shape (N,), with theta in
     [0, pi] and phi in [0, 2 pi).
     """
     if side not in SIDES:
         raise ValueError(f"classical_correlation: side must be one of {SIDES}")
-    if grid < 2 or refine_iters < 0:
-        raise ValueError("classical_correlation: grid must be >= 2 and refine_iters >= 0")
+    for name, value, lo, hi in (("grid", grid, 2, MAX_GRID), ("refine_iters", refine_iters, 0, MAX_REFINE_ITERS)):
+        # a bool is an int too; NaN and 64.0 are not
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+            raise ValueError(f"classical_correlation: {name} must be an integer in [{lo}, {hi}], got {value!r}")
     rhos = np.asarray(rhos, dtype=complex)
     values, thetas, phis = np.empty((3, len(rhos)))
     for x_states, rows, sub in _split_x(rhos):
@@ -155,7 +170,10 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     negative definite, else g, no longer than a trust radius.  The trial is
     the centre of its own stencil, kept, with that stencil, only if it scores
     strictly higher; a rejected one quarters the radius.  Away from an empty
-    branch the objective is smooth, so the steps converge quadratically.
+    branch the objective is smooth, so the steps converge quadratically.  A
+    state leaves once H is negative definite and the full step s = -H^-1 g
+    models a gain g.s / 2 of at most ``_GAIN``, which bounds every capped or
+    later step from that stencil; gradient steps go on to the budget's end.
 
     With ``x_states`` every state is an X state: a = a_z z, b = b_z z and T
     is block diagonal, so p+- does not depend on phi and the best phi
@@ -195,8 +213,9 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     # the frame's azimuth: the X states' closed-form one, else 0
     g = np.einsum("nki,nkj->nij", r[:, 1:, 1:3], r[:, 1:, 1:3])
     spin = np.mod(0.5 * np.arctan2(g[:, 0, 1], 0.5 * (g[:, 0, 0] - g[:, 1, 1])), np.pi) if x_states else np.zeros(n)
-    theta, phi = (x.ravel() for x in np.meshgrid(
-        np.linspace(0.0, 0.5 * np.pi, rows), np.arange(1 if x_states else rows) * (2.0 * np.pi / rows), indexing="ij"))
+    az = 1 if x_states else rows  # azimuths; the pole keeps its first, the one ties would pick
+    theta, phi = (np.delete(x.ravel(), np.s_[1:az]) for x in np.meshgrid(
+        np.linspace(0.0, 0.5 * np.pi, rows), np.arange(az) * (2.0 * np.pi / rows), indexing="ij"))
     coeffs = np.stack([np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)])
     _, proj = frame(np.zeros(n), spin)
     best_i = np.empty(n, dtype=int)
@@ -209,20 +228,21 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
     ticks = np.array([-_H, 0.0, _H])
     du, dw = (x.ravel() for x in np.meshgrid(ticks, ticks[1:2] if x_states else ticks, indexing="ij"))
 
-    def stencil(sel, at):
-        """The objective on the stencil around chart points ``at``, (states, 3, 3 or 1); the centre scores at itself."""
+    def stencil(idx, at):
+        """The objective on the stencils of states ``idx`` centred on chart points ``at``, (states, 3, 3 or 1)."""
         u, w = at[:, :1] + du, at[:, 1:] + dw
         norm = np.sqrt(1.0 + u * u + w * w)
-        return _objective(s_est[sel], a[:, sel], [(v[:, :1] + u * v[:, 1:2] + w * v[:, 2:]) / norm
-                                                  for v in np.moveaxis(proj[sel], 1, 0)]).reshape(len(at), 3, -1)
+        return _objective(s_est[idx], a[:, idx], [(v[:, :1] + u * v[:, 1:2] + w * v[:, 2:]) / norm
+                                                  for v in np.moveaxis(proj[idx], 1, 0)]).reshape(len(at), 3, -1)
 
     # the chart point, its value, and the trust radius: one polar mesh step, quartered on every rejected trial
     uw, best_v, radius = np.zeros((n, 2)), np.empty(n), np.full(n, 0.5 * np.pi / (rows - 1))
     for sel in slices(len(du)):
-        f = stencil(sel, uw[sel])
+        live = np.arange(n)[sel]  # the states still stepping; f holds their stencils
+        f = stencil(live, uw[live])
         m = f.shape[2] // 2
         for _ in range(2 * refine_iters):
-            r = radius[sel]
+            r = radius[live]
             gu, huu = (f[:, 2, m] - f[:, 0, m]) / (2.0 * _H), (f[:, 2, m] - 2.0 * f[:, 1, m] + f[:, 0, m]) / _H**2
             # X states move along u only: no slope along w, and a curvature that keeps Newton's w at 0
             gw, hww, huw = (0.0, -1.0, 0.0) if x_states else (
@@ -234,13 +254,19 @@ def _cc_mesh(rhos, side, grid, refine_iters, x_states):
             det, scale = np.where(newton, det, 1.0), r / np.maximum(np.hypot(gu, gw), _TINY)
             step = np.stack([np.where(newton, (huw * gw - hww * gu) / det, gu * scale),
                              np.where(newton, (huw * gu - huu * gw) / det, gw * scale)], -1)
-            trial = uw[sel] + step * (r / np.maximum(np.hypot(step[:, 0], step[:, 1]), r))[:, None]
-            f_trial = stencil(sel, trial)
+            # a state whose full Newton step models a gain of at most _GAIN leaves, with its value
+            done = newton & (0.5 * (gu * step[:, 0] + gw * step[:, 1]) <= _GAIN)
+            best_v[live[done]] = f[done, 1, m]
+            live, f, step, r = live[~done], f[~done], step[~done], r[~done]
+            if not live.size:
+                break
+            trial = uw[live] + step * (r / np.maximum(np.hypot(step[:, 0], step[:, 1]), r))[:, None]
+            f_trial = stencil(live, trial)
             # only a strictly better trial moves the point; a rejected one leaves it and its stencil as they were
             better = f_trial[:, 1, m] > f[:, 1, m]
-            radius[sel], f = np.where(better, r, 0.25 * r), np.where(better[:, None, None], f_trial, f)
-            uw[sel] = np.where(better[:, None], trial, uw[sel])
-        best_v[sel] = f[:, 1, m]
+            radius[live], f = np.where(better, r, 0.25 * r), np.where(better[:, None, None], f_trial, f)
+            uw[live] = np.where(better[:, None], trial, uw[live])
+        best_v[live] = f[:, 1, m]
 
     axis = (axes[:, 0] + uw[:, :1] * axes[:, 1] + uw[:, 1:] * axes[:, 2]) / np.sqrt(
         1.0 + uw[:, :1] * uw[:, :1] + uw[:, 1:] * uw[:, 1:])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import SIDES
+from .correlations import MAX_GRID, MAX_REFINE_ITERS, SIDES
 from .experiments import SERIES_MEASURES, SweepResult, check_partitions, run_sweep
 from .model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
 
@@ -37,15 +37,9 @@ _TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im
 
 _SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
-# Upper bounds of the integer fields: far above every value the tests,
-# demos and benchmark use.  The optimiser scores m^2 + 9 (2 refine_iters + 1)
-# axes per general state, m = max(12, grid / 4), and grid + 3 (2 refine_iters
-# + 1) per X state (at MAX_GRID one state's 64 x 64 mesh fills a
-# correlations._SLICE_AXES scan, so memory does not grow with grid), and a
-# sweep keeps every grid time.
+# Upper bound of time_steps, far above every value the tests, demos and
+# benchmark use: a sweep keeps every grid time.  grid and refine_iters take the optimiser's bounds.
 MAX_TIME_STEPS = 100_001
-MAX_GRID = 256
-MAX_REFINE_ITERS = 20
 
 
 def _number(value, field: str) -> float:

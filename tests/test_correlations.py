@@ -8,6 +8,8 @@ import pytest
 
 from spinboson.correlations import (
     _OFF_X,
+    MAX_GRID,
+    MAX_REFINE_ITERS,
     MeasurementAxis,
     _cc_mesh,
     classical_correlation_batch,
@@ -195,6 +197,26 @@ class TestBruteForce:
             classical_correlation_bruteforce(bell_state(), side="third")
         with pytest.raises(ValueError, match="grid"):
             classical_correlation_bruteforce(bell_state(), grid=1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("grid", 64.0), ("grid", True), ("grid", 1), ("grid", MAX_GRID + 1), ("grid", math.nan), ("grid", "64"),
+        ("refine_iters", 2.5), ("refine_iters", math.nan), ("refine_iters", True), ("refine_iters", -1),
+        ("refine_iters", MAX_REFINE_ITERS + 1)])
+    def test_grid_and_refine_checks(self, name, value):
+        # a float or a bool used to reach numpy (2.5 and NaN as a TypeError naming neither
+        # argument, True as refine 1), and grid had no upper bound outside RunConfig
+        match = f"classical_correlation: {name} must be an integer in "
+        for call in (classical_correlation_bruteforce, discord):
+            with pytest.raises(ValueError, match=match):
+                call(bell_state(), **{name: value})
+        # the check comes before the states are read
+        with pytest.raises(ValueError, match=match):
+            classical_correlation_batch(None, **{name: value})
+
+    def test_numpy_integer_arguments(self):
+        rho = bell_state()[None]
+        assert np.array_equal(classical_correlation_batch(rho, grid=np.int64(16), refine_iters=np.int32(2))[0],
+                              classical_correlation_batch(rho, grid=16, refine_iters=2)[0])
 
 
 class TestDiscord:
