@@ -5,11 +5,11 @@ Subcommands
 sweep <config> [--out DIR]    run a sweep, write CSV (and SVG when configured)
 audit <config>                run every audit that applies; exit 0 only if all pass
 figures [--out DIR]           emit the four built-in reference-figure datasets
-oracle <config> [--out DIR]   brute-force-only sweep, for cross-implementation checks
 
 Every run setting comes from the config file, and the figures' from
 ``io.FIGURE_CONFIGS``; ``--out`` only says where the files go (default: the
-current directory).
+current directory).  A brute-force-only CSV is ``sweep`` on a config with
+``"pipeline": "brute"``.
 
 Exit codes: 0 success, 1 audit failure, 2 configuration or usage error.
 """
@@ -44,20 +44,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
-    result = run_sweep(**cfg.sweep_args("brute_force"))
-    print(emit_csv(result, Path(args.out) / "oracle.csv"))
-    return 0
-
-
 def _cmd_audit(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     # one sweep of both pipelines gives the agreement audit and, as brute-force
     # values do not depend on the batch, the square sums of the four pairs,
     # which compare with t = 0: a grid that starts later gets t = 0 put first
     partitions = tuple(dict.fromkeys(cfg.partitions + SQUARE_SUM_PARTITIONS))
-    sweep = {**cfg.sweep_args("both"), "partitions": partitions}
+    sweep = replace(cfg, pipeline="both", partitions=partitions).sweep_args()
     grid = sweep["scenario"].time_grid
     if grid[0] > 0.0:
         sweep["scenario"] = replace(sweep["scenario"], time_grid=np.concatenate(([0.0], grid)))
@@ -98,7 +91,6 @@ def main(argv=None) -> int:
         ("sweep", _cmd_sweep, "run a sweep and write CSV (+ optional SVG)"),
         ("audit", _cmd_audit, "run every audit that applies"),
         ("figures", _cmd_figures, "emit the built-in reference-figure datasets"),
-        ("oracle", _cmd_oracle, "brute-force-only sweep for cross-checks"),
     )
     for name, func, help_text in commands:
         p = sub.add_parser(name, help=help_text)

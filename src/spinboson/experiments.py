@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import (
+    SIDES,
     classical_correlation_batch,
     classical_correlation_spins_two_exc,
     concurrence_batch,
@@ -111,8 +112,8 @@ def _closed_values(scenario: Scenario, side: str, x: np.ndarray, y: np.ndarray):
     return cs, qs, concurrence_closed(family, alpha, beta, x, y)
 
 
-def check_partitions(partitions, caller: str) -> tuple:
-    """``partitions`` as a non-empty tuple of known, distinct names; errors begin with ``caller``."""
+def check_partitions(partitions, caller: str, pipeline: str) -> tuple:
+    """``partitions`` as a non-empty tuple of known, distinct names ``pipeline`` covers; errors begin with ``caller``."""
     partitions = tuple(partitions)
     for p in partitions:
         if not isinstance(p, str) or p not in PARTITIONS:
@@ -121,6 +122,9 @@ def check_partitions(partitions, caller: str) -> tuple:
         raise ValueError(f"{caller}: partitions must be unique")
     if not partitions:
         raise ValueError(f"{caller}: partitions must not be empty")
+    if pipeline == "closed_form" and not set(partitions) <= set(CLOSED_FORM_PARTITIONS):
+        raise ValueError(f"{caller}: the closed-form pipeline covers partitions {CLOSED_FORM_PARTITIONS}, "
+                         f"got {partitions}")
     return partitions
 
 
@@ -135,12 +139,9 @@ def run_sweep(
     """Evaluate correlation measures over a scenario's whole time grid in one pass."""
     if pipeline not in PIPELINES:
         raise ValueError(f"run_sweep: pipeline must be one of {PIPELINES}")
-    partitions = check_partitions(partitions, "run_sweep")
-    for p in partitions:
-        if pipeline == "closed_form" and p not in CLOSED_FORM_PARTITIONS:
-            raise ValueError(
-                f"run_sweep: closed-form pipeline covers {CLOSED_FORM_PARTITIONS}, not {p!r}"
-            )
+    if side not in SIDES:
+        raise ValueError(f"run_sweep: side must be one of {SIDES}")
+    partitions = check_partitions(partitions, "run_sweep", pipeline)
 
     times = scenario.time_grid
     # the closed forms read only the amplitudes

@@ -23,7 +23,7 @@ import numpy as np
 
 from .correlations import MAX_GRID, MAX_REFINE_ITERS, SIDES
 from .experiments import SERIES_MEASURES, SweepResult, check_partitions, run_sweep
-from .model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
+from .model import FAMILIES, PARTITION_ORDER, SPECTRAL_FIELDS, Scenario, SpectralDensity
 
 CSV_HEADER = ",".join(("time", "partition", "pipeline", *SERIES_MEASURES, "measured_side"))
 
@@ -34,8 +34,6 @@ _FIELD_KEYS = {"time_start", "time_end", "time_steps", "partitions", "pipeline",
                "refine_iters", "side", "svg"}
 
 _TOP_KEYS = _FIELD_KEYS | {"family", "alpha_re", "alpha_im", "beta_re", "beta_im", "spectral"}
-
-_SPECTRAL_KEYS = {"kind", "gamma", "W", "lambda"}
 
 # Upper bound of time_steps, far above every value the tests, demos and
 # benchmark use: a sweep keeps every grid time.  grid and refine_iters take the optimiser's bounds.
@@ -74,9 +72,10 @@ class RunConfig:
     """Scenario + optimiser + output settings for one run.
 
     Every field is checked on construction, so also by ``parse_config`` and
-    ``dataclasses.replace``; an error names the field.  Counts are integers
-    (101.0 counts) up to the ``MAX_*`` bounds.  Weights off unit norm by less
-    than 1e-6 are renormalised, anything further off is rejected.
+    ``dataclasses.replace``; an error names the field.  The spectrum checks
+    its own fields, and RunConfig what they give with ``time_end``.  Counts
+    are integers (101.0 counts) up to the ``MAX_*`` bounds.  Weights off unit
+    norm by less than 1e-6 are renormalised, anything further off is rejected.
     """
 
     family: str
@@ -132,15 +131,12 @@ class RunConfig:
         if not isinstance(spectral, SpectralDensity):
             raise ValueError(f"config: spectral must be a SpectralDensity, got {spectral!r}")
         # the evolution runs on rate * time (largest at time_end, as
-        # 0 <= time_start < time_end), and amplitudes_lorentz on W / lambda and
-        # the phase sqrt(4 (W / lambda)^2 - 1) * lambda * t
+        # 0 <= time_start < time_end), and amplitudes_lorentz on the phase
+        # sqrt(4 (W / lambda)^2 - 1) * lambda * t
         if not math.isfinite(spectral.rate * time_end):
-            rate = "gamma" if spectral.kind == "flat" else "lambda"
-            raise ValueError(f"config: spectral.{rate} * time_end is not finite")
+            raise ValueError(f"config: spectral.{spectral.rate_key} * time_end is not finite")
         if spectral.kind == "lorentz":
             ratio = spectral.W / spectral.lam
-            if not math.isfinite(ratio) or ratio == 0.0:
-                raise ValueError(f"config: spectral W / lambda is {ratio!r}; must be finite and nonzero")
             if not math.isfinite(math.sqrt(max(0.0, 4.0 * ratio * ratio - 1.0)) * spectral.lam * time_end):
                 raise ValueError("config: spectral W / lambda and time_end give a non-finite oscillation phase")
         # steps far below the spacing of floats at time_end round to zero
@@ -149,7 +145,7 @@ class RunConfig:
 
         if not isinstance(self.partitions, (tuple, list)):
             raise ValueError(f"config: partitions must be a list or tuple of names, got {self.partitions!r}")
-        put("partitions", check_partitions(self.partitions, "config"))
+        put("partitions", check_partitions(self.partitions, "config", PIPELINE_NAMES[self.pipeline]))
         if not isinstance(self.svg, bool):
             raise ValueError("config: svg must be a boolean")
 
@@ -157,31 +153,20 @@ class RunConfig:
         return np.linspace(self.time_start, self.time_end, self.time_steps) * self.spectral.rate
 
     def scenario(self) -> Scenario:
-        return Scenario(
-            family=self.family,
-            alpha=self.alpha,
-            beta=self.beta,
-            spectral=self.spectral,
-            time_grid=self._time_grid(),
-        )
+        return Scenario(self.family, self.alpha, self.beta, self.spectral, self._time_grid())
 
-    def sweep_args(self, pipeline: str | None = None) -> dict:
-        """Keyword arguments of ``run_sweep`` for this run; ``pipeline`` overrides the config's."""
-        return dict(
-            scenario=self.scenario(),
-            partitions=self.partitions,
-            pipeline=pipeline or PIPELINE_NAMES[self.pipeline],
-            side=self.side,
-            grid=self.grid,
-            refine_iters=self.refine_iters,
-        )
+    def sweep_args(self) -> dict:
+        """Keyword arguments of ``run_sweep`` for this run."""
+        return dict(scenario=self.scenario(), partitions=self.partitions, pipeline=PIPELINE_NAMES[self.pipeline],
+                    side=self.side, grid=self.grid, refine_iters=self.refine_iters)
 
 
 def parse_config(text: str) -> RunConfig:
     """Read a JSON run configuration into a RunConfig, which checks the values.
 
     Unknown keys are rejected by name, and numbers must be finite JSON
-    numbers.  Keys left out take RunConfig's defaults.
+    numbers.  Keys left out take RunConfig's defaults.  Which spectral keys
+    a kind takes is ``SpectralDensity``'s to check.
     """
     try:
         doc = json.loads(text)
@@ -196,21 +181,12 @@ def parse_config(text: str) -> RunConfig:
     spec_doc = doc.get("spectral")
     if not isinstance(spec_doc, dict):
         raise ValueError("config: spectral must be an object with a 'kind'")
-    unknown = set(spec_doc) - _SPECTRAL_KEYS
+    attrs = {key: attr for fields in SPECTRAL_FIELDS.values() for key, attr in fields.items()}
+    unknown = set(spec_doc) - {"kind", *attrs}
     if unknown:
         raise ValueError(f"config: unknown spectral key {sorted(unknown)[0]!r}")
-    numbers = {key: _number(value, key) for key, value in spec_doc.items() if key != "kind"}
-    kind = spec_doc.get("kind")
-    if kind == "flat":
-        if "W" in spec_doc or "lambda" in spec_doc:
-            raise ValueError("config: flat spectral density takes only 'gamma'")
-        spectral = SpectralDensity(kind="flat", gamma=numbers.get("gamma", 0.0))
-    elif kind == "lorentz":
-        if "gamma" in spec_doc:
-            raise ValueError("config: lorentz spectral density takes 'W' and 'lambda', not 'gamma'")
-        spectral = SpectralDensity(kind="lorentz", W=numbers.get("W", 0.0), lam=numbers.get("lambda", 0.0))
-    else:
-        raise ValueError(f"config: spectral.kind must be 'flat' or 'lorentz', got {kind!r}")
+    spectral = SpectralDensity(spec_doc.get("kind"), **{
+        attrs[key]: _number(value, key) for key, value in spec_doc.items() if key != "kind"})
 
     weights = [_number(doc.get(key, 0.0), key) for key in ("alpha_re", "alpha_im", "beta_re", "beta_im")]
 
@@ -337,7 +313,7 @@ def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None)
     pw, ph = 380, 250
     x0s = (70, 70 + pw + 60)
     y0s = (50, 50 + ph + 70)
-    time_label = "gamma*t" if result.scenario.spectral.kind == "flat" else "lambda*t"
+    time_label = f"{result.scenario.spectral.rate_key}*t"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +101,10 @@ def amplitudes_lorentz(lambda_t, coupling_ratio: float) -> Amplitudes:
     return Amplitudes(xi, np.sqrt(np.maximum(0.0, 1.0 - xi * xi)))
 
 
+# Each spectral kind's fields: config key -> SpectralDensity attribute, the rate first.
+SPECTRAL_FIELDS = {"flat": {"gamma": "gamma"}, "lorentz": {"lambda": "lam", "W": "W"}}
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Reservoir coupling profile: flat (Markovian) or Lorentzian.
@@ -107,26 +112,44 @@ class SpectralDensity:
     flat: J(w) = gamma, exponential decay at rate gamma.
     lorentz: J(w) centered on the spin frequency with width ``lam`` and
     coupling ``W``; only the ratio W/lam and the product lambda*t matter.
+
+    A kind's fields (``SPECTRAL_FIELDS``) must be finite numbers > 0 and
+    W/lam finite and nonzero; another kind's stay None.  Errors name the key.
     """
 
     kind: str
-    gamma: float = 0.0
-    W: float = 0.0
-    lam: float = 0.0
+    gamma: float | None = None
+    W: float | None = None
+    lam: float | None = None
 
     def __post_init__(self):
-        fields = {"flat": (("gamma", self.gamma),), "lorentz": (("W", self.W), ("lambda", self.lam))}
-        if self.kind not in fields:
-            raise ValueError(f"SpectralDensity: unknown kind {self.kind!r}")
-        for name, value in fields[self.kind]:
-            # NaN fails both tests
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"SpectralDensity: {self.kind} spectrum needs a finite {name} > 0, got {value!r}")
+        if not isinstance(self.kind, str) or self.kind not in SPECTRAL_FIELDS:
+            raise ValueError(f"SpectralDensity: kind must be one of {tuple(SPECTRAL_FIELDS)}, got {self.kind!r}")
+        own = SPECTRAL_FIELDS[self.kind]
+        for fields in SPECTRAL_FIELDS.values():
+            for key, attr in fields.items():
+                value = getattr(self, attr)
+                if key not in own:
+                    if value is not None:
+                        raise ValueError(f"SpectralDensity: a {self.kind} spectrum takes no {key}, got {value!r}")
+                # a bool is an int to isinstance; NaN fails the comparison
+                elif (isinstance(value, bool) or not isinstance(value, Real)
+                      or not (math.isfinite(value) and value > 0.0)):
+                    raise ValueError(f"SpectralDensity: {self.kind} spectrum needs a finite {key} > 0, got {value!r}")
+        if self.kind == "lorentz":
+            ratio = self.W / self.lam
+            if not math.isfinite(ratio) or ratio == 0.0:
+                raise ValueError(f"SpectralDensity: lorentz W / lambda is {ratio!r}; must be finite and nonzero")
+
+    @property
+    def rate_key(self) -> str:
+        """Config key of the rate: ``gamma`` or ``lambda``."""
+        return next(iter(SPECTRAL_FIELDS[self.kind]))
 
     @property
     def rate(self) -> float:
         """Rate converting raw time to the dimensionless evolution variable."""
-        return self.gamma if self.kind == "flat" else self.lam
+        return getattr(self, SPECTRAL_FIELDS[self.kind][self.rate_key])
 
     def amplitudes(self, tau) -> Amplitudes:
         """Amplitude pair at dimensionless time(s) tau (gamma*t or lambda*t)."""

@@ -180,6 +180,13 @@ class TestRunSweep:
             run_sweep(sc, ("s1r1",), "closed_form")
 
     @pytest.mark.parametrize("pipeline", ["closed_form", "brute_force", "both"])
+    def test_unknown_side_rejected(self, pipeline):
+        # the closed-form pipeline used to measure the second qubit and write "bogus" into measured_side
+        sc = Scenario("two_exc", *BELL, FLAT, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"run_sweep: side must be one of \('first', 'second'\)"):
+            run_sweep(sc, ("s1s2",), pipeline, side="bogus", grid=8, refine_iters=1)
+
+    @pytest.mark.parametrize("pipeline", ["closed_form", "brute_force", "both"])
     @pytest.mark.parametrize("partitions,message", [
         # empty: numpy's "need at least one array to concatenate", or an empty result
         ((), "partitions must not be empty"),

@@ -37,13 +37,20 @@ def cli(command, doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("change", [{}, {"time_start": 0.5}], ids=["readme", "time_start_0.5"])
 def test_readme_config(change, tmp_path, capsys):
-    # the oracle's rows are the sweep's brute-force rows byte for byte, and the audit prints
-    # its six outcomes, each a pass.  Started at 0.5, the square sums used to be compared
-    # with their value there rather than at t = 0, and failed
+    # a brute-pipeline sweep writes the both-pipeline sweep's brute-force rows byte for byte,
+    # `oracle` is a usage error that writes nothing, and the audit prints its six outcomes,
+    # each a pass.  Started at 0.5, the square sums used to be compared with their value
+    # there rather than at t = 0, and failed
     doc = {**README_DOC, **change}
-    assert cli("sweep", doc, tmp_path, capsys)[0] == cli("oracle", doc, tmp_path, capsys)[0] == 0
-    sweep, oracle = ((tmp_path / name).read_bytes().splitlines(keepends=True) for name in ("sweep.csv", "oracle.csv"))
-    assert [row for row in sweep if b",brute_force," in row] == oracle[1:]
+    rows = []
+    for pipeline in ("both", "brute"):
+        assert cli("sweep", {**doc, "pipeline": pipeline}, tmp_path, capsys)[0] == 0
+        rows.append((tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True))
+    assert [row for row in rows[0] if b",brute_force," in row] == rows[1][1:]
+    files = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(tmp_path / "run.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2 and sorted(tmp_path.iterdir()) == files
     rc, lines = cli("audit", doc, tmp_path, capsys)
     assert [line[:2] for line in lines] == [["PASS", name] for name in README_OUTCOMES] and rc == 0
 

@@ -1,9 +1,11 @@
 import cmath
+import contextlib
 import json
 import math
 import os
 import re
 from dataclasses import fields, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from spinboson import cli
 from spinboson.cli import main
 from spinboson.correlations import SIDES
 from spinboson.experiments import (
+    CLOSED_FORM_PARTITIONS,
     MEASURES,
     SERIES_MEASURES,
     SQUARE_SUM_PARTITIONS,
@@ -221,13 +224,13 @@ class TestConfigHardening:
         "spectral,time_end,message",
         [
             # each input is finite; the grid gamma * t was [0, inf, inf] and ran
-            ({"kind": "flat", "gamma": 1e300}, 1e10, "spectral.gamma * time_end is not finite"),
+            ({"kind": "flat", "gamma": 1e300}, 1e10, "config: spectral.gamma * time_end is not finite"),
             # W / lambda = inf made amplitudes_lorentz fail with "math domain error"
-            ({"kind": "lorentz", "W": 1e300, "lambda": 1e-300}, 5.0, "spectral W / lambda is inf"),
+            ({"kind": "lorentz", "W": 1e300, "lambda": 1e-300}, 5.0, "SpectralDensity: lorentz W / lambda is inf"),
             # W / lambda = 0 made amplitudes_lorentz reject its own argument
-            ({"kind": "lorentz", "W": 1e-300, "lambda": 1e300}, 5.0, "spectral W / lambda is 0.0"),
+            ({"kind": "lorentz", "W": 1e-300, "lambda": 1e300}, 5.0, "SpectralDensity: lorentz W / lambda is 0.0"),
             ({"kind": "lorentz", "W": 1e200, "lambda": 1.0}, 5.0,
-             "spectral W / lambda and time_end give a non-finite oscillation phase"),
+             "config: spectral W / lambda and time_end give a non-finite oscillation phase"),
         ],
         ids=["gamma_time_overflow", "ratio_overflow", "ratio_underflow", "phase_overflow"],
     )
@@ -235,7 +238,7 @@ class TestConfigHardening:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(bell_doc(spectral=spectral, time_end=time_end)))
         assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 2
-        assert f"error: config: {message}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_collapsed_time_grid_names_its_fields(self, tmp_path, capsys):
@@ -250,13 +253,15 @@ class TestConfigHardening:
 
 
 # At least one invalid value per RunConfig field: a config-document
-# override, the same value as a field, and a pattern of the message.
+# override, the same value as a field, and a pattern of the message.  The
+# document's other keys that name a field (pipeline) change that field too.
 INVALID_FIELDS = [
     ("family", {"family": "three_exc"}, "three_exc", "family must be one of"),
     ("alpha", {"alpha_re": 2.0}, 2.0, "alpha/beta norm is"),
     ("beta", {"beta_re": 0.1}, 0.1, "alpha/beta norm is"),
-    ("spectral", {"spectral": {"kind": "lorentz", "W": 1e300, "lambda": 1e-300}},
-     SpectralDensity("lorentz", W=1e300, lam=1e-300), "spectral W / lambda is inf"),
+    # gamma * time_end = 1.5e308 * 2 ln 2 overflows
+    ("spectral", {"spectral": {"kind": "flat", "gamma": 1.5e308}},
+     SpectralDensity("flat", gamma=1.5e308), r"spectral.gamma \* time_end is not finite"),
     ("time_start", {"time_start": -1.0}, -1.0, "time_start must be >= 0"),
     ("time_start", {"time_start": "0"}, "0", "time_start must be a number"),
     ("time_end", {"time_end": 0.0}, 0.0, "time_end must exceed time_start"),
@@ -265,6 +270,9 @@ INVALID_FIELDS = [
     ("partitions", {"partitions": ["s1s2", "s1s2"]}, ("s1s2", "s1s2"), "partitions must be unique"),
     ("partitions", {"partitions": ["s1s9"]}, ("s1s9",), "unknown partition 's1s9' in partitions"),
     ("partitions", {"partitions": "s1s2"}, "s1s2", "partitions must be a list or tuple"),
+    # audit, which runs both pipelines, used to pass this config that sweep rejects
+    ("partitions", {"pipeline": "closed", "partitions": ["s1s2", "s1r1"]}, ("s1s2", "s1r1"),
+     "the closed-form pipeline covers partitions"),
     ("pipeline", {"pipeline": "fastest"}, "fastest", "pipeline must be one of"),
     ("grid", {"grid": 1}, 1, "grid is 1; must be in"),
     ("refine_iters", {"refine_iters": -1}, -1, "refine_iters is -1; must be in"),
@@ -277,22 +285,46 @@ class TestOneValidator:
     """parse_config, RunConfig(...) and dataclasses.replace check fields alike."""
 
     valid = parse_config(json.dumps(bell_doc()))
+    kwargs = dict(vars(valid))  # its fields by name
 
     def builds(self, doc, **changes):
-        kwargs = {f.name: getattr(self.valid, f.name) for f in fields(RunConfig)}
         return (
             lambda: parse_config(json.dumps(bell_doc(**doc))),
-            lambda: RunConfig(**{**kwargs, **changes}),
+            lambda: RunConfig(**{**self.kwargs, **changes}),
             lambda: replace(self.valid, **changes),
         )
 
     @pytest.mark.parametrize("field,doc,value,message", INVALID_FIELDS,
                              ids=[json.dumps(case[1]) for case in INVALID_FIELDS])
     def test_invalid_field_rejected_on_every_path(self, field, doc, value, message):
-        for build in self.builds(doc, **{field: value}):
+        changes = {key: doc[key] for key in doc.keys() & self.kwargs.keys()} | {field: value}
+        for build in self.builds(doc, **changes):
             with pytest.raises(ValueError, match=message) as exc:
                 build()
             assert str(exc.value).startswith("config: ") and field in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "doc,kwargs,message",
+        [
+            ({"kind": "flat", "gamma": 1.0, "W": 5.0}, dict(kind="flat", gamma=1.0, W=5.0), "takes no W, got 5.0"),
+            ({"kind": "flat", "gamma": 1.0, "lambda": 1.0}, dict(kind="flat", gamma=1.0, lam=1.0), "takes no lambda"),
+            ({"kind": "lorentz", "W": 2.0, "lambda": 1.0, "gamma": 1.0},
+             dict(kind="lorentz", W=2.0, lam=1.0, gamma=1.0), "takes no gamma"),
+            ({"kind": "flat", "gamma": 1.0, "W": 0}, dict(kind="flat", gamma=1.0, W=0), "takes no W, got 0"),
+            ({"kind": "flat", "gamma": True}, dict(kind="flat", gamma=True), "gamma .*got True"),
+            ({"kind": "square", "gamma": 1.0}, dict(kind="square", gamma=1.0), "kind must be one of .*got 'square'"),
+        ],
+        ids=["flat_W", "flat_lambda", "lorentz_gamma", "flat_W_0", "bool_gamma", "unknown_kind"],
+    )
+    def test_spectral_fields_checked_on_every_path(self, doc, kwargs, message):
+        # a spectrum built in code used to skip the rules that only parse_config applied
+        for build in (
+            lambda: parse_config(json.dumps(bell_doc(spectral=doc))),
+            lambda: RunConfig(**{**self.kwargs, "spectral": SpectralDensity(**kwargs)}),
+            lambda: replace(self.valid, spectral=replace(self.valid.spectral, **kwargs)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     @pytest.mark.parametrize("alpha,beta,field", [(True, False, "alpha"), (1.0, False, "beta")])
     def test_bool_weights_rejected(self, alpha, beta, field):
@@ -329,12 +361,14 @@ def valid_configs(draw):
     else:
         spectral = SpectralDensity("lorentz", W=draw(st.floats(1e-2, 1e2)), lam=draw(st.floats(1e-3, 1e3)))
     time_start = draw(st.floats(0.0, 10.0))
+    pipeline = draw(st.sampled_from(tuple(PIPELINE_NAMES)))
     return RunConfig(
         family=draw(st.sampled_from(FAMILIES)), alpha=alpha, beta=beta, spectral=spectral,
         time_start=time_start, time_end=time_start + draw(st.floats(1e-3, 10.0)),
         time_steps=draw(st.integers(2, 500)),
-        partitions=draw(st.lists(st.sampled_from(PARTITION_ORDER), min_size=1, unique=True)),
-        pipeline=draw(st.sampled_from(tuple(PIPELINE_NAMES))), side=draw(st.sampled_from(SIDES)),
+        partitions=draw(st.lists(st.sampled_from(CLOSED_FORM_PARTITIONS if pipeline == "closed" else PARTITION_ORDER),
+                                 min_size=1, unique=True)),
+        pipeline=pipeline, side=draw(st.sampled_from(SIDES)),
         svg=draw(st.booleans()),
         grid=draw(st.integers(2, MAX_GRID)), refine_iters=draw(st.integers(0, MAX_REFINE_ITERS)),
     )
@@ -601,6 +635,21 @@ class TestFigureConfigs:
             figure_config("flat_three_excitation")
 
 
+def parser_commands() -> tuple:
+    """The subcommands ``spinboson --help`` lists, in its order."""
+    with contextlib.redirect_stdout(StringIO()) as out:
+        try:
+            main(["--help"])
+        except SystemExit:
+            pass
+    return tuple(re.search(r"\{([a-z,]+)\}", out.getvalue()).group(1).split(","))
+
+
+PARSER_COMMANDS = parser_commands()
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README_USAGE = README.split("## Command line", 1)[1].split("```")[1]
+
+
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -655,8 +704,8 @@ class TestCli:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(doc))
         cfg = parse_config(cfg_path.read_text())
-        outcomes = [agreement_audit(run_sweep(**cfg.sweep_args("both")))]
-        pairs = run_sweep(**{**cfg.sweep_args("brute_force"), "partitions": SQUARE_SUM_PARTITIONS})
+        outcomes = [agreement_audit(run_sweep(**cfg.sweep_args()))]
+        pairs = run_sweep(**replace(cfg, pipeline="brute", partitions=SQUARE_SUM_PARTITIONS).sweep_args())
         outcomes += [square_sum_audit(pairs, measure) for measure in MEASURES]
         if cfg.spectral.kind == "flat":
             beta2 = abs(cfg.beta) ** 2
@@ -677,18 +726,9 @@ class TestCli:
         assert len(calls) == 1 and set(calls[0]) == set(cfg.partitions) | set(SQUARE_SUM_PARTITIONS)
         assert len(expected.splitlines()) == (6 if cfg.spectral.kind == "flat" else 4)
 
-    def test_oracle_writes_bruteforce_only(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bell_doc(grid=12, refine_iters=2)))
-        rc = main(["oracle", str(cfg_path), "--out", str(tmp_path)])
-        assert rc == 0
-        text = (tmp_path / "oracle.csv").read_text()
-        assert "closed_form" not in text
-        assert "brute_force" in text
-
     @pytest.mark.parametrize(
         "argv",
-        [[command, flag, value] for command in ("sweep", "audit", "figures", "oracle")
+        [[command, flag, value] for command in PARSER_COMMANDS
          for flag, value in (("--grid", "8"), ("--refine", "1"), ("--side", "first"), ("--pipeline", "brute"))]
         + [["audit", "--out", "out"]],
         ids=lambda argv: " ".join(argv[:2]),
@@ -708,9 +748,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.json").write_text(json.dumps(bell_doc(grid=8, refine_iters=1, svg=True)))
         assert main(["sweep", "run.json"]) == 0
-        assert main(["oracle", "run.json"]) == 0
-        assert capsys.readouterr().out.split() == ["sweep.csv", "sweep.svg", "oracle.csv"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.csv", "run.json", "sweep.csv", "sweep.svg"]
+        assert capsys.readouterr().out.split() == ["sweep.csv", "sweep.svg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "sweep.csv", "sweep.svg"]
 
     def test_out_dir_key_rejected(self, tmp_path, capsys):
         # --out is the one way to say where files go
@@ -741,11 +780,12 @@ class TestCli:
             assert part in svg
         assert "overlay" in svg
 
-    @pytest.mark.parametrize("command", ["sweep", "audit", "figures", "oracle"])
+    def test_readme_usage_names_only_the_parser_commands(self):
+        assert [line.split()[1] for line in README_USAGE.splitlines() if line.strip()] == list(PARSER_COMMANDS)
+
+    @pytest.mark.parametrize("command", PARSER_COMMANDS)
     def test_readme_usage_lists_the_parser_flags(self, capsys, command):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = readme.split("## Command line", 1)[1].split("```")[1]
-        usage = [line for line in block.splitlines() if line.split()[:2] == ["spinboson", command]]
+        usage = [line for line in README_USAGE.splitlines() if line.split()[:2] == ["spinboson", command]]
         assert len(usage) == 1, f"README has {len(usage)} usage lines for {command}"
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
