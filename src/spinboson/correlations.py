@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, binary_entropy, entropy2_batch, entropy_from_eigenvalues,
-                     require_finite, require_state)
+                     require_finite, require_stack, require_state)
 
 # the spin flip of Wootters' concurrence
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
@@ -101,6 +101,7 @@ class MeasurementAxis(NamedTuple):
 
 def mutual_information_batch(rhos: np.ndarray) -> np.ndarray:
     """I = S(A) + S(B) - S(AB) for a stack of two-qubit states, in bits."""
+    rhos = require_stack(rhos, "mutual_information_batch")
     r4 = rhos.reshape(-1, 2, 2, 2, 2)
     s_a = entropy2_batch(np.einsum("nabcb->nac", r4))
     s_b = entropy2_batch(np.einsum("nabad->nbd", r4))
@@ -141,7 +142,7 @@ def classical_correlation_batch(rhos: np.ndarray, side: str = "second", grid: in
         # a bool is an int too; NaN and 64.0 are not
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
             raise ValueError(f"classical_correlation: {name} must be an integer in [{lo}, {hi}], got {value!r}")
-    rhos = np.asarray(rhos, dtype=complex)
+    rhos = require_stack(rhos, "classical_correlation_batch")
     values, thetas, phis = np.empty((3, len(rhos)))
     for x_states, rows, sub in _split_x(rhos):
         values[rows], thetas[rows], phis[rows] = _cc_mesh(sub, side, grid, refine_iters, x_states)
@@ -422,7 +423,7 @@ def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
     values of tau = W^T (sigma_y x sigma_y) W, rho = W W^dagger and W = V
     diag(sqrt(p)) from rho's eigensystem (Wootters, PRL 80, 2245 (1998)).
     """
-    rhos, out = np.asarray(rhos, dtype=complex), np.empty(len(rhos))
+    rhos, out = require_stack(rhos, "concurrence_batch"), np.empty(len(rhos))
     for x_states, rows, r in _split_x(rhos):
         if x_states:  # a product of round-off-negative weights is clipped at 0
             d = np.maximum(r[:, [1, 0], [1, 0]].real * r[:, [2, 3], [2, 3]].real, 0.0)

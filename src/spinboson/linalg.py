@@ -5,8 +5,8 @@ plus two collective reservoir modes).  Spectra come from numpy's LAPACK
 eigensolver (``np.linalg.eigh``/``eigvalsh``), which diagonalises each
 matrix of a stack on its own, so a state's eigenvalues do not depend on
 what else shares its batch.  :func:`require_state` is the one check of a
-single density matrix that the public single-state functions share, and
-:func:`require_finite` the one check that a series holds no NaN or infinity.
+single density matrix, :func:`require_stack` of a batch's (N, 4, 4) shape,
+and :func:`require_finite` of a series holding no NaN or infinity.
 
 All entropies are in bits (log base 2).
 """
@@ -33,6 +33,14 @@ def require_finite(values, who: str) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{who}: non-finite value {values.flat[bad[0]]} at index {bad[0]}")
     return values
+
+
+def require_stack(rhos, who: str) -> np.ndarray:
+    """``rhos`` as a complex array; anything but an (N, 4, 4) stack raises, naming its shape."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise ValueError(f"{who}: expected an (N, 4, 4) stack of two-qubit states, got shape {rhos.shape}")
+    return rhos
 
 
 def require_state(rho: np.ndarray, who: str, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:

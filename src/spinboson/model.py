@@ -14,18 +14,25 @@ coupling makes ``xi`` oscillate through zero, which is where all the
 non-Markovian structure comes from.  Time is handled dimensionlessly
 (gamma*t for flat, lambda*t for Lorentzian).  The amplitudes and the pure
 states take a whole time grid as one array.
+
+The state is sum_ij c_ij |e_i>_{s1 r1} |e_j>_{s2 r2}, with |e_0> = |00>,
+|e_1> = xi |10> + chi |01> in (spin, reservoir) order and the 2x2 matrix c
+the initial spin state sum_ij c_ij |ij>.  Each family is a preset of c.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-FAMILIES = ("two_exc", "one_exc")
+# Each family's initial spin state sum_ij c_ij |ij>: the entries (i, j) of c holding alpha and beta, the rest 0.
+FAMILY_PRESETS = {"two_exc": ((0, 0), (1, 1)), "one_exc": ((0, 1), (1, 0))}
+FAMILIES = tuple(FAMILY_PRESETS)
 
 # Partition label -> subsystem indices kept, in (s1, s2, r1, r2) order.
 PARTITIONS = {
@@ -132,9 +139,8 @@ class SpectralDensity:
                 if key not in own:
                     if value is not None:
                         raise ValueError(f"SpectralDensity: a {self.kind} spectrum takes no {key}, got {value!r}")
-                # a bool is an int to isinstance; NaN fails the comparison
-                elif (isinstance(value, bool) or not isinstance(value, Real)
-                      or not (math.isfinite(value) and value > 0.0)):
+                # a bool is an int to isinstance; NaN, inf and an int past the float range fail the comparison
+                elif isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value <= sys.float_info.max:
                     raise ValueError(f"SpectralDensity: {self.kind} spectrum needs a finite {key} > 0, got {value!r}")
         if self.kind == "lorentz":
             ratio = self.W / self.lam
@@ -160,10 +166,8 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class Scenario:
-    """An initial-state family on a dimensionless time grid.
+    """An initial-state family (a preset of ``FAMILY_PRESETS``) on a dimensionless time grid.
 
-    family ``two_exc``: alpha |00> + beta |11> on the spins.
-    family ``one_exc``: alpha |01> + beta |10> on the spins.
     Both reservoirs start empty; |alpha|^2 + |beta|^2 = 1.
     """
 
@@ -192,31 +196,18 @@ class Scenario:
 
 
 def pure_state(family: str, alpha: complex, beta: complex, amps: Amplitudes) -> np.ndarray:
-    """16-amplitude state of (s1, s2, r1, r2) at given survival amplitude.
+    """The state sum_ij c_ij |e_i>_{s1 r1} |e_j>_{s2 r2} as 16 amplitudes of (s1, s2, r1, r2).
 
-    For ``two_exc`` the excitation pair decays independently, spreading
-    weight over |1100>, |1001>, |0110>, |0011>; for ``one_exc`` the single
-    excitation is shared between each spin and its own reservoir mode.
-    Tracing out both reservoirs reproduces the familiar X-shaped reduced
-    spin states entrywise.  Scalar amplitudes give a (16,) state, arrays
-    of shape S a stack of shape S + (16,).
+    c is ``family``'s preset (``FAMILY_PRESETS``) holding alpha and beta; amps of shape S give S + (16,).
     """
-    xi, chi = np.asarray(amps, dtype=float)
-    psi = np.zeros(xi.shape + (16,), dtype=complex)
-    if family == "two_exc":
-        psi[..., 0b0000] = alpha
-        psi[..., 0b1100] = beta * xi * xi
-        psi[..., 0b1001] = beta * xi * chi
-        psi[..., 0b0110] = beta * chi * xi
-        psi[..., 0b0011] = beta * chi * chi
-    elif family == "one_exc":
-        psi[..., 0b0100] = alpha * xi
-        psi[..., 0b0001] = alpha * chi
-        psi[..., 0b1000] = beta * xi
-        psi[..., 0b0010] = beta * chi
-    else:
+    if not isinstance(family, str) or family not in FAMILY_PRESETS:
         raise ValueError(f"pure_state: unknown family {family!r}")
-    return psi
+    c = np.zeros((2, 2), dtype=complex)
+    c[tuple(zip(*FAMILY_PRESETS[family]))] = alpha, beta
+    e = np.zeros(np.shape(amps[0]) + (2, 2, 2), dtype=complex)  # e[..., i, spin, reservoir]
+    e[..., 0, 0, 0], e[..., 1, 1, 0], e[..., 1, 0, 1] = 1.0, *amps
+    half = np.einsum("ij,...iab->...jab", c, e)  # sum over i first: each entry is (weight * amp1) * amp2
+    return np.einsum("...jab,...jcd->...acbd", half, e).reshape(e.shape[:-3] + (16,))
 
 
 def reduced(state: np.ndarray, partition: str) -> np.ndarray:
@@ -226,11 +217,14 @@ def reduced(state: np.ndarray, partition: str) -> np.ndarray:
 
 def reduced_batch(states: np.ndarray, partition: str) -> np.ndarray:
     """Reduced density matrices (N, 4, 4) for a batch of 16-vectors."""
-    if partition not in PARTITIONS:
+    if not isinstance(partition, str) or partition not in PARTITIONS:
         raise ValueError(f"reduced: unknown partition {partition!r}")
+    states = np.asarray(states, dtype=complex)
+    if states.shape[-1:] != (16,):
+        raise ValueError(f"reduced: expected states of 16 amplitudes, got shape {states.shape}")
     keep = PARTITIONS[partition]
     rest = tuple(i for i in range(4) if i not in keep)
-    t = np.asarray(states, dtype=complex).reshape(-1, 2, 2, 2, 2)
+    t = states.reshape(-1, 2, 2, 2, 2)
     t = np.transpose(t, (0,) + tuple(k + 1 for k in keep) + tuple(r + 1 for r in rest))
     m = t.reshape(-1, 4, 4)
     return np.einsum("nij,nkj->nik", m, m.conj())

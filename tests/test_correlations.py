@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -810,6 +811,19 @@ class TestBatchComposition:
             assert np.array_equal(reverse[k][::-1], batch[k])
             assert np.array_equal(np.concatenate([a[k] for a in alone]), batch[k])
 
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4, 1), (3, 2, 2), (3, 16, 16), (3, 4, 3), ()])
+    @pytest.mark.parametrize("measure", [mutual_information_batch, classical_correlation_batch, concurrence_batch])
+    def test_batch_rejects_a_stack_of_another_shape(self, measure, shape):
+        # a bare (4, 4) matrix gave a (1,) mutual information, a (3, 4, 4, 1) array values
+        # from the optimiser, and (3, 2, 2) and (3, 16, 16) an IndexError from _split_x
+        rhos = np.full(shape, 0.25, dtype=complex)
+        with pytest.raises(ValueError, match=rf"^{measure.__name__}: expected an \(N, 4, 4\) stack of two-qubit "
+                                             rf"states, got shape {re.escape(str(shape))}$"):
+            measure(rhos)
+        # an empty stack is a stack
+        values = measure(np.empty((0, 4, 4)))
+        assert np.shape(values[0] if measure is classical_correlation_batch else values) == (0,)
 
     def test_memory_capped_at_max_grid(self):
         rhos = general_states(np.random.default_rng(34), 2)

@@ -4,7 +4,9 @@ benchmark's seed-1 panel and on a panel of the model's own states (perfbench/ is
 only read)."""
 
 import json
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -90,12 +92,31 @@ def test_lorentzian_audit(family, side, tmp_path, capsys):
 def test_short_series_keep_every_point(tmp_path, capsys):
     # 81 and 101 grid times are below 4 per pixel column of a panel, so every
     # path of the figures and of the README config's plot draws every grid time
-    assert main(["figures", "--out", str(tmp_path)]) == 0
+    figures = tmp_path / "figures"
+    umask = os.umask(0o022)
+    try:
+        assert main(["figures", "--out", str(figures)]) == 0
+    finally:
+        os.umask(umask)
     assert cli("sweep", README_DOC, tmp_path, capsys)[0] == 0
-    plots = [(f"{name}.svg", cfg.time_steps, 16) for name, cfg in FIGURE_CONFIGS.items()]
-    for name, steps, count in plots + [("sweep.svg", README_DOC["time_steps"], 8)]:
-        paths = re.findall(r'<path d="M ([^"]*)"', (tmp_path / name).read_text())
-        assert [len(d.split(" L ")) for d in paths] == [steps] * count, name
+    # the figure run writes eight files, each with the mode the umask gives, and leaves no
+    # temporary file; each CSV holds its header and 81 times x 6 rows (the four panel
+    # partitions by brute force, s1s2 and r1r2 also closed form)
+    written = [p for p in figures.rglob("*") if p.is_file() and p.suffix in (".csv", ".svg")]
+    assert sorted(p.suffix for p in written) == [".csv"] * 4 + [".svg"] * 4
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {0o644}
+    assert not list(figures.rglob("*.tmp"))
+    for csv in figures.glob("*.csv"):
+        assert csv.read_bytes().count(b"\n") == 487, csv.name
+    # each SVG is closed and draws 16 paths: 4 panels x Q and C x 2 weight sets
+    plots = [(figures / f"{name}.svg", cfg.time_steps, 16) for name, cfg in FIGURE_CONFIGS.items()]
+    for path, steps, count in plots + [(tmp_path / "sweep.svg", README_DOC["time_steps"], 8)]:
+        text = path.read_text()
+        paths = re.findall(r'<path d="M ([^"]*)"', text)
+        assert [len(d.split(" L ")) for d in paths] == [steps] * count, path.name
+        assert text.count("<path") == count, path.name
+    for svg in figures.glob("*.svg"):
+        assert svg.read_text().splitlines()[-1] == "</svg>", svg.name
 
 
 def with_reference(rhos):

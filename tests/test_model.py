@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboson.linalg import random_pure_state, von_neumann_entropy
 from spinboson.model import (
+    FAMILIES,
     PARTITION_ORDER,
     PARTITIONS,
     Amplitudes,
@@ -162,6 +166,47 @@ def one_exc_reduced_expected(alpha, beta, xi, chi):
     return rho
 
 
+def hand_placed_state(family, alpha, beta, amps):
+    """The state with each family's entries placed by hand, nine in all, each a
+    weight times one or two amplitudes in that order."""
+    xi, chi = np.asarray(amps, dtype=float)
+    psi = np.zeros(xi.shape + (16,), dtype=complex)
+    if family == "two_exc":
+        psi[..., 0b0000] = alpha
+        psi[..., 0b1100] = beta * xi * xi
+        psi[..., 0b1001] = beta * xi * chi
+        psi[..., 0b0110] = beta * chi * xi
+        psi[..., 0b0011] = beta * chi * chi
+    else:
+        psi[..., 0b0100] = alpha * xi
+        psi[..., 0b0001] = alpha * chi
+        psi[..., 0b1000] = beta * xi
+        psi[..., 0b0010] = beta * chi
+    return psi
+
+
+def evolved_state(family, alpha, beta, xi, chi):
+    """The state by explicit evolution: each (spin, reservoir) pair takes |10> to
+    xi |10> + chi |01> and keeps |00>, applied as a Kronecker product to the initial
+    spin state c (x) |00>_r in (s1, r1, s2, r2) order, then reordered to (s1, s2, r1, r2)."""
+    c = np.zeros((2, 2), dtype=complex)
+    if family == "two_exc":  # alpha |00> + beta |11>
+        c[0, 0], c[1, 1] = alpha, beta
+    else:  # alpha |01> + beta |10>
+        c[0, 1], c[1, 0] = alpha, beta
+    pair = np.zeros((4, 4))  # columns |00>, |01>, |10>, |11> of (spin, reservoir); |01> and |11> never occur
+    pair[0b00, 0b00] = 1.0
+    pair[0b10, 0b10], pair[0b01, 0b10] = xi, chi
+    start = np.zeros((2, 2, 2, 2), dtype=complex)  # (s1, r1, s2, r2)
+    start[:, 0, :, 0] = c
+    return (np.kron(pair, pair) @ start.reshape(16)).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+
+
+complex_weights = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+spectra = st.one_of(st.just(SpectralDensity("flat", gamma=1.0)),
+                    st.floats(0.05, 20.0).map(lambda ratio: SpectralDensity("lorentz", W=ratio, lam=1.0)))
+
+
 class TestPureState:
     def test_two_excitation_initial(self):
         alpha, beta = 1.0 / math.sqrt(10.0), 3.0 / math.sqrt(10.0)
@@ -182,6 +227,25 @@ class TestPureState:
         assert abs(psi[0b0001] - alpha) < 1e-15
         assert abs(psi[0b0010] - beta) < 1e-15
         assert np.count_nonzero(psi) == 2
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(FAMILIES), complex_weights, complex_weights, spectra,
+           st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    def test_matches_hand_placed_entries_and_explicit_evolution(self, family, alpha, beta, spectral, times):
+        amps = spectral.amplitudes(np.array(times))
+        psi = pure_state(family, alpha, beta, amps)
+        assert psi.shape == (len(times), 16) and psi.dtype == complex
+        # every real and imaginary part equals the hand-placed one, so a nonzero one has the same
+        # bits; a zero may differ in sign, as the sum over c's entries starts from +0
+        assert np.array_equal(psi.view(float), hand_placed_state(family, alpha, beta, amps).view(float))
+        for row, xi, chi in zip(psi, *amps):
+            assert np.abs(row - evolved_state(family, alpha, beta, xi, chi)).max() <= 1e-15
+
+    @pytest.mark.parametrize("family", ["bogus", ["two_exc"], None])
+    def test_unknown_family_rejected(self, family):
+        # the presets are a dict, where a list raises TypeError: unhashable type
+        with pytest.raises(ValueError, match="^pure_state: unknown family"):
+            pure_state(family, 1.0, 0.0, Amplitudes(1.0, 0.0))
 
     def test_norm_preserved_both_spectra(self):
         alpha, beta = 0.6, 0.8j
@@ -224,10 +288,20 @@ class TestReduced:
                 sb = von_neumann_entropy(reduced(psi, b))
                 assert abs(sa - sb) < 1e-8
 
-    def test_unknown_partition(self):
+    @pytest.mark.parametrize("partition", ["s1s3", ["s1", "s2"], ("s1s2",), None])
+    def test_unknown_partition(self, partition):
+        # a list used to raise TypeError: unhashable type
         psi = pure_state("two_exc", 1.0, 0.0, Amplitudes(1.0, 0.0))
-        with pytest.raises(ValueError, match="partition"):
-            reduced(psi, "s1s3")
+        with pytest.raises(ValueError, match="^reduced: unknown partition"):
+            reduced(psi, partition)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16, 1), (15,), ()])
+    def test_states_of_another_length_rejected(self, shape):
+        # a (2, 8) array was reshaped into one (4, 4) state without a word
+        states = np.full(shape, 0.25, dtype=complex)
+        message = f"^reduced: expected states of 16 amplitudes, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            reduced_batch(states, "s1s2")
 
 
 class TestPartialTrace:
@@ -353,10 +427,14 @@ class TestScenario:
             (dict(kind="lorentz", W=math.nan, lam=1.0), "W"),
             (dict(kind="lorentz", W=1.0, lam=math.nan), "lambda"),
             (dict(kind="lorentz", W=1.0, lam=-math.inf), "lambda"),
+            (dict(kind="flat", gamma=10**400), "gamma"),
+            (dict(kind="lorentz", W=10**400, lam=1.0), "W"),
         ],
-        ids=["flat_nan", "flat_inf", "lorentz_W_nan", "lorentz_lambda_nan", "lorentz_lambda_minus_inf"],
+        ids=["flat_nan", "flat_inf", "lorentz_W_nan", "lorentz_lambda_nan", "lorentz_lambda_minus_inf",
+             "flat_huge_int", "lorentz_W_huge_int"],
     )
     def test_non_finite_spectral_parameter_named(self, kwargs, name):
-        # NaN passed the old gamma <= 0 and W <= 0 or lam <= 0 checks
+        # NaN passed the old gamma <= 0 and W <= 0 or lam <= 0 checks, and an int
+        # past the float range raised OverflowError from math.isfinite
         with pytest.raises(ValueError, match=rf"finite {name} > 0"):
             SpectralDensity(**kwargs)
