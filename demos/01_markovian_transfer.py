@@ -10,8 +10,6 @@ correlation never does.
 
 import math
 
-import numpy as np
-
 from spinboson import (
     amplitudes_flat,
     bisect_positive_boundary,

@@ -9,8 +9,6 @@ except in degenerate corners.  Entanglement never suddenly dies here.
 
 import math
 
-import numpy as np
-
 from spinboson import (
     amplitudes_flat,
     classical_correlation_spins_two_exc,

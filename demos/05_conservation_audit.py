@@ -9,7 +9,6 @@ the audit, prints the dip-and-recover shape, and writes one figure-style
 CSV + SVG dataset.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np

@@ -38,6 +38,7 @@ from .experiments import (
     count_sign_changes,
     flat_classical_tail_audit,
     reservoir_transfer_audit,
+    run_audits,
     run_sweep,
     square_sum_audit,
     square_sum_series,

@@ -9,7 +9,7 @@ figures [--out DIR]           emit the four built-in reference-figure datasets
 Every run setting comes from the config file, and the figures' from
 ``io.FIGURE_CONFIGS``; ``--out`` only says where the files go (default: the
 current directory).  A brute-force-only CSV is ``sweep`` on a config with
-``"pipeline": "brute"``.
+``"pipeline": "brute"``.  ``audit`` prints what ``experiments.run_audits`` returns.
 
 Exit codes: 0 success, 1 audit failure, 2 configuration or usage error.
 """
@@ -18,20 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .experiments import (
-    MEASURES,
-    SQUARE_SUM_PARTITIONS,
-    agreement_audit,
-    flat_classical_tail_audit,
-    reservoir_transfer_audit,
-    run_sweep,
-    square_sum_audit,
-)
+from .experiments import run_audits, run_sweep
 from .io import emit_csv, emit_figures, emit_svg_plot, parse_config
 
 
@@ -46,32 +35,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
-    # one sweep of both pipelines gives the agreement audit and, as brute-force
-    # values do not depend on the batch, the square sums of the four pairs,
-    # which compare with t = 0: a grid that starts later gets t = 0 put first
-    partitions = tuple(dict.fromkeys(cfg.partitions + SQUARE_SUM_PARTITIONS))
-    sweep = replace(cfg, pipeline="both", partitions=partitions).sweep_args()
-    grid = sweep["scenario"].time_grid
-    if grid[0] > 0.0:
-        sweep["scenario"] = replace(sweep["scenario"], time_grid=np.concatenate(([0.0], grid)))
-    result = run_sweep(**sweep)
-    outcomes = [agreement_audit(result)] + [square_sum_audit(result, measure) for measure in MEASURES]
-
-    if cfg.spectral.kind == "flat":
-        tail = np.linspace(8.0, 12.0, 5)
-        beta2 = abs(cfg.beta) ** 2
-        alpha2 = abs(cfg.alpha) ** 2
-        outcomes.append(flat_classical_tail_audit(beta2, tail))
-        # the two_exc check holds only late, at gamma t >= 15
-        times = [20.0] if cfg.family == "two_exc" else tail
-        outcomes.append(reservoir_transfer_audit(cfg.family, alpha2, beta2, times))
-
-    all_pass = True
+    outcomes = run_audits(cfg.scenario(), cfg.partitions, cfg.side, cfg.grid, cfg.refine_iters)
     for a in outcomes:
-        status = "PASS" if a.passed else "FAIL"
-        print(f"{status} {a.name} margin={a.margin:.3e}")
-        all_pass &= a.passed
-    return 0 if all_pass else 1
+        print(f"{'PASS' if a.passed else 'FAIL'} {a.name} margin={a.margin:.3e}")
+    return 0 if all(a.passed for a in outcomes) else 1
 
 
 def _cmd_figures(args) -> int:

@@ -353,25 +353,31 @@ def _check_unit_interval(who: str, **kwargs) -> tuple:
     return tuple(out.values())
 
 
+def _entropy_drop(p, q, d, direct):
+    """H(p) - H(q) in bits, from d = p - q formed without a subtraction.
+
+    As d ln((1 - p) / p) - q log1p(d / q) - (1 - q) log1p(-d / (1 - q)) nats it does not cancel as
+    q nears p <= 1/2; ``direct`` cells, q <= 0 and a subnormal p, whose (1 - p) / p overflows, take H(p) - H(q).
+    """
+    direct = direct | (q <= 0.0) | (p < _TINY)
+    # where the direct form serves, this one may divide by zero or overflow: those cells are dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        small = d * np.log((1.0 - p) / p) - q * np.log1p(d / q) - (1.0 - q) * np.log1p(-d / (1.0 - q))
+    return np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))
+
+
 def _classical(beta2, x2, y2):
     """C = H(p) - H(q) with p = beta2 x2 and q = (1 - s) / 2, s = sqrt(1 - 4 beta2 x2 y2).
 
     H is symmetric about 1/2; q is taken as 2 beta2 x2 y2 / (1 + s), which has
     no cancellation, with the radicand clipped at 0.  For x2 <= 1/2 the two
     entropies cancel as x2 shrinks, so there C comes from d = p - q = 4 beta2
-    (1 - beta2) x2^2 y2 / ((1 + s) (1 + s - 2 x2)), formed without a
-    subtraction, as d ln((1 - p) / p) - q log1p(d / q) - (1 - q) log1p(-d /
-    (1 - q)) nats; a subnormal p, whose (1 - p) / p overflows, takes H(p) - H(q).
+    (1 - beta2) x2^2 y2 / ((1 + s) (1 + s - 2 x2)) by ``_entropy_drop``.
     """
     s = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * beta2 * x2 * y2))
     p, q = beta2 * x2, 2.0 * beta2 * x2 * y2 / (1.0 + s)
-    direct = (x2 > 0.5) | (q <= 0.0) | (p < _TINY)
-    # where the direct form serves, this one may divide by zero or overflow: those cells are dropped
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = 4.0 * beta2 * (1.0 - beta2) * x2 * x2 * y2 / np.maximum((1.0 + s) * (1.0 + s - 2.0 * x2), _TINY)
-        small = d * np.log((1.0 - p) / p) - q * np.log1p(d / q) - (1.0 - q) * np.log1p(-d / (1.0 - q))
-    c = np.where(direct, binary_entropy(p) - binary_entropy(q), small / np.log(2.0))
-    return _floor_roundoff(c, "closed-form C")
+    d = 4.0 * beta2 * (1.0 - beta2) * x2 * x2 * y2 / np.maximum((1.0 + s) * (1.0 + s - 2.0 * x2), _TINY)
+    return _floor_roundoff(_entropy_drop(p, q, d, x2 > 0.5), "closed-form C")
 
 
 def classical_correlation_spins_two_exc(beta2: float, xi2: float, chi2: float) -> float:
@@ -398,13 +404,17 @@ def reservoir_correlations_two_exc(beta2: float, xi2: float, chi2: float) -> tup
 def quantum_correlation_spins_one_exc(alpha2: float, xi2: float, chi2: float) -> float:
     """Closed-form Q of the spin pair, one-excitation family.
 
-    Q = -H(xi2) + H(alpha2 * xi2) + H((1 + sqrt(1 - 4 beta2 xi2 chi2)) / 2),
-    with beta2 = 1 - alpha2.  At t = 0 this reduces to H(alpha2).
+    Q = H(alpha2 xi2) - (H(xi2) - H(q)), q = (1 - sqrt(1 - 4 beta2 xi2 chi2)) / 2, beta2 = 1 - alpha2;
+    at t = 0 it is H(alpha2).  H(xi2) = H(p) for p = min(xi2, chi2), and p (1 - p) - q (1 - q) =
+    alpha2 xi2 chi2 gives d = p - q for ``_entropy_drop``; the radicand is taken as (xi2 - chi2)^2
+    + 4 alpha2 xi2 chi2, which keeps a small alpha2.
     """
     alpha2, xi2, chi2 = _check_unit_interval("quantum_correlation_spins_one_exc", alpha2=alpha2, xi2=xi2, chi2=chi2)
-    u = (1.0 - alpha2) * xi2 * chi2
-    disturbed = binary_entropy(2.0 * u / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u))))
-    q = -binary_entropy(xi2) + binary_entropy(alpha2 * xi2) + disturbed
+    u, gap = xi2 * chi2, np.abs(xi2 - chi2)
+    s = np.sqrt(gap * gap + 4.0 * alpha2 * u)
+    # d = alpha2 u / (1 - p - q); at alpha2 = 1, q = 0 and p = xi2 make Q exactly 0
+    p, d = np.where(alpha2 < 1.0, np.minimum(xi2, chi2), xi2), 2.0 * alpha2 * u / np.maximum(gap + s, _TINY)
+    q = binary_entropy(alpha2 * xi2) - _entropy_drop(p, 2.0 * (1.0 - alpha2) * u / (1.0 + s), d, False)
     return _floor_roundoff(q, "closed-form Q")
 
 

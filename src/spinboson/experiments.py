@@ -10,14 +10,14 @@ the two side by side.  A sweep's result is data only: one ``(4, T)`` array
 over the T grid times per (partition, pipeline), one row per measure.
 
 Every audit is a call: ``agreement_audit`` and ``square_sum_audit`` on a
-sweep result, the two flat-spectrum audits on weights and a tail of times.
-They never return bare booleans: each outcome carries the pass flag, a
-worst-case margin and enough numbers to diagnose a regression.
+sweep result, the two flat-spectrum audits on weights; ``run_audits`` runs
+every one that applies to a scenario.  Each outcome carries the pass flag,
+a worst-case margin and enough numbers to diagnose a regression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,10 @@ _SQUARE_SUM_TOL = 1e-9  # how far a square sum may top its t = 0 value
 # reservoir Q must come to its target H(beta2).
 _TAIL_BAND = (0.9, 1.1)
 _TRANSFER_TOL = 1e-3
+
+# The asymptotic audits' times gamma_t; the two_exc reservoir Q nears H(beta2) only from ~15.
+_TAIL = np.linspace(8.0, 12.0, 5)
+_TWO_EXC_LATE = np.array([20.0])
 
 
 @dataclass
@@ -200,25 +204,20 @@ def _ratio(num: np.ndarray, denom: np.ndarray, floor: float) -> np.ndarray:
     return np.where(ok, num / np.where(ok, denom, 1.0), 1.0)
 
 
-def flat_classical_tail_audit(beta2: float, gamma_ts) -> AuditOutcome:
+def flat_classical_tail_audit(beta2: float) -> AuditOutcome:
     """Late-time behaviour of the spin-pair C against its leading form.
 
-    Compares C to (beta2 - beta2^2) * gamma_t * exp(-2 gamma_t) / ln 2 on a
-    tail of times gamma_t >= 8.  The subleading correction is
-    -ln(beta2)/gamma_t, so the ratio approaches 1 from above; the audit
-    passes when |ratio - 1| shrinks monotonically along the tail.  Band
-    membership is reported as a separate, non-gating diagnostic (for small
-    beta2 the correction keeps the ratio outside any fixed band until far
-    larger times).
+    Compares C to (beta2 - beta2^2) * gamma_t * exp(-2 gamma_t) / ln 2 on
+    the tail ``_TAIL`` of times gamma_t in [8, 12].  The subleading
+    correction is -ln(beta2)/gamma_t, so the ratio approaches 1 from above;
+    the audit passes when |ratio - 1| shrinks monotonically along the tail.
+    Band membership is reported as a separate, non-gating diagnostic (for
+    small beta2 the correction keeps the ratio outside any fixed band until
+    far larger times).
     """
-    ts = np.asarray(list(gamma_ts), dtype=float)
-    if ts.size < 2 or np.any(np.diff(ts) <= 0):
-        raise ValueError("flat_classical_tail_audit: need an increasing tail of times")
-    if ts[0] < 8.0:
-        raise ValueError("flat_classical_tail_audit: tail must start at gamma_t >= 8")
-    xi2, chi2 = np.square(amplitudes_flat(ts))
+    xi2, chi2 = np.square(amplitudes_flat(_TAIL))
     c = classical_correlation_spins_two_exc(beta2, xi2, chi2)
-    lead = (beta2 - beta2 * beta2) * ts * np.exp(-2.0 * ts) / np.log(2.0)
+    lead = (beta2 - beta2 * beta2) * _TAIL * np.exp(-2.0 * _TAIL) / np.log(2.0)
     ratios = _ratio(c, lead, 0.0)
     gaps = np.abs(ratios - 1.0)
     monotone = bool(np.all(np.diff(gaps) <= 1e-12)) and gaps[-1] <= gaps[0] + 1e-12
@@ -229,7 +228,7 @@ def flat_classical_tail_audit(beta2: float, gamma_ts) -> AuditOutcome:
         margin=float(gaps.max()),
         details={
             "beta2": beta2,
-            "gamma_ts": ts.tolist(),
+            "gamma_ts": _TAIL.tolist(),
             "ratios": ratios.tolist(),
             "band": _TAIL_BAND,
             "in_band": in_band,
@@ -237,23 +236,18 @@ def flat_classical_tail_audit(beta2: float, gamma_ts) -> AuditOutcome:
     )
 
 
-def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts) -> AuditOutcome:
+def reservoir_transfer_audit(family: str, alpha2: float, beta2: float) -> AuditOutcome:
     """Checks that correlations complete their move into the reservoirs.
 
-    two_exc: at late gamma_t (>= 15) the reservoir-pair Q must sit within
-    1e-3 of the initial spin-pair value H(beta2).
+    two_exc: at gamma_t = 20 the reservoir-pair Q must sit within 1e-3 of
+    the initial spin-pair value H(beta2).
     one_exc: the spin-pair Q must track H(alpha2) * exp(-gamma_t) within
-    a factor in [0.9, 1.1] on a tail of times gamma_t >= 8.
+    a factor in [0.9, 1.1] on the tail ``_TAIL`` of times gamma_t in [8, 12].
     """
-    ts = np.asarray(list(gamma_ts), dtype=float)
-    if ts.size == 0:
-        raise ValueError("reservoir_transfer_audit: need at least one time")
     if not abs(alpha2 + beta2 - 1.0) <= 1e-10:
         raise ValueError(f"reservoir_transfer_audit: alpha2 + beta2 must be 1, got alpha2 = {alpha2!r}, beta2 = {beta2!r}")
     if family == "two_exc":
-        if ts.min() < 15.0:
-            raise ValueError("reservoir_transfer_audit: two_exc tail must satisfy gamma_t >= 15")
-        xi2, chi2 = np.square(amplitudes_flat(ts))
+        xi2, chi2 = np.square(amplitudes_flat(_TWO_EXC_LATE))
         target = binary_entropy(beta2)
         _, q = reservoir_correlations_two_exc(beta2, xi2, chi2)
         worst = float(np.abs(q - target).max())
@@ -261,12 +255,10 @@ def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts)
             name="reservoir_transfer_two_exc",
             passed=worst < _TRANSFER_TOL,
             margin=worst,
-            details={"beta2": beta2, "target": float(target), "gamma_ts": ts.tolist(), "tol": _TRANSFER_TOL},
+            details={"beta2": beta2, "target": float(target), "gamma_ts": _TWO_EXC_LATE.tolist(), "tol": _TRANSFER_TOL},
         )
     if family == "one_exc":
-        if ts.min() < 8.0:
-            raise ValueError("reservoir_transfer_audit: one_exc tail must satisfy gamma_t >= 8")
-        xi2, chi2 = np.square(amplitudes_flat(ts))
+        xi2, chi2 = np.square(amplitudes_flat(_TAIL))
         q = quantum_correlation_spins_one_exc(alpha2, xi2, chi2)
         ratios = _ratio(q, binary_entropy(alpha2) * xi2, 1e-300)
         in_band = bool(np.all((ratios >= _TAIL_BAND[0]) & (ratios <= _TAIL_BAND[1])))
@@ -274,7 +266,7 @@ def reservoir_transfer_audit(family: str, alpha2: float, beta2: float, gamma_ts)
             name="reservoir_transfer_one_exc",
             passed=in_band,
             margin=float(np.abs(ratios - 1.0).max()),
-            details={"alpha2": alpha2, "gamma_ts": ts.tolist(), "ratios": ratios.tolist(), "band": _TAIL_BAND},
+            details={"alpha2": alpha2, "gamma_ts": _TAIL.tolist(), "ratios": ratios.tolist(), "band": _TAIL_BAND},
         )
     raise ValueError(f"reservoir_transfer_audit: unknown family {family!r}")
 
@@ -326,6 +318,25 @@ def square_sum_audit(result: SweepResult, measure: str) -> AuditOutcome:
             "tolerance": _SQUARE_SUM_TOL,
         },
     )
+
+
+def run_audits(scenario: Scenario, partitions=PARTITION_ORDER, side: str = "second", grid: int = 64,
+               refine_iters: int = 4) -> list[AuditOutcome]:
+    """Every audit that applies to ``scenario``, in order: ``closed_vs_brute``, the three square sums and, on a
+    flat spectrum, ``flat_classical_tail`` and ``reservoir_transfer_<family>``; the other arguments are the sweep's.
+    """
+    # one sweep of both pipelines gives the agreement audit and, as brute-force
+    # values do not depend on the batch, the square sums of the four pairs,
+    # which compare with t = 0: a grid that starts later gets t = 0 put first
+    partitions = tuple(dict.fromkeys(tuple(partitions) + SQUARE_SUM_PARTITIONS))
+    if scenario.time_grid[0] > 0.0:
+        scenario = replace(scenario, time_grid=np.concatenate(([0.0], scenario.time_grid)))
+    result = run_sweep(scenario, partitions, "both", side, grid, refine_iters)
+    outcomes = [agreement_audit(result)] + [square_sum_audit(result, measure) for measure in MEASURES]
+    if scenario.spectral.kind == "flat":
+        alpha2, beta2 = abs(scenario.alpha) ** 2, abs(scenario.beta) ** 2
+        outcomes += [flat_classical_tail_audit(beta2), reservoir_transfer_audit(scenario.family, alpha2, beta2)]
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,9 @@ class Scenario:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"Scenario: unknown family {self.family!r}")
+        for name in ("alpha", "beta"):
+            if isinstance(w := getattr(self, name), bool) or not isinstance(w, (int, float, complex)):
+                raise ValueError(f"Scenario: {name} must be a number, got {w!r}")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"Scenario: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")

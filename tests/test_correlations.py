@@ -85,6 +85,19 @@ def classical_decimal(b2, x2, digits=320):
         return float((h(p) - h((1 - (1 - 4 * u).sqrt()) / 2)) / Decimal(2).ln())
 
 
+def one_exc_quantum_decimal(a2, x2, digits=120):
+    """H(alpha2 xi2) + H(q) - H(xi2) of the one_exc spin-pair Q in decimal, with chi2 = 1 - xi2 exactly."""
+
+    def h(p):
+        return Decimal(0) if p <= 0 or p >= 1 else -(p * p.ln() + (1 - p) * (1 - p).ln())
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, x = Decimal(a2), Decimal(x2)
+        u = (1 - a) * x * (1 - x)
+        return float((h(a * x) + h((1 - (1 - 4 * u).sqrt()) / 2) - h(x)) / Decimal(2).ln())
+
+
 def bell_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5
@@ -329,6 +342,37 @@ class TestClosedForms:
             normal = want >= np.finfo(float).tiny
             assert normal.sum() == len(want)
             assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("a2", [0.9, 0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18])
+    def test_one_exc_quantum_relative_accuracy(self, a2):
+        # the spin-pair Q on a flat tail, xi2 = exp(-gamma t) for gamma t in (0, 60], against 120
+        # digits: within 1e-13 relative.  Formed as H(alpha2 xi2) + H(q) - H(xi2), it was 6.5e-7
+        # off at |alpha|^2 = 1e-9 and 110 times too large at 1e-18
+        xi2 = np.exp(-np.linspace(0.0, 60.0, 121)[1:])
+        got = quantum_correlation_spins_one_exc(a2, xi2, 1.0 - xi2)
+        want = np.array([one_exc_quantum_decimal(a2, x) for x in xi2])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("a2", [1e-6, 1e-12, 1e-18])
+    def test_one_exc_quantum_near_equal_amplitudes(self, a2):
+        # near xi2 = 1/2, d ~ |alpha| / 2 and the two log1p terms of _entropy_drop cancel to O(d^2),
+        # so the error grows like 1e-17 / |alpha| there (3.5e-9 relative at |alpha|^2 = 1e-18); as
+        # H(alpha2 xi2) + H(q) - H(xi2) it grew like 1e-16 / |alpha|^2
+        xi2 = 0.5 + np.array([-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+        got = quantum_correlation_spins_one_exc(a2, xi2, 1.0 - xi2)
+        want = np.array([one_exc_quantum_decimal(a2, x) for x in xi2])
+        assert np.all(np.abs(got - want) <= (1e-13 + 1e-17 / math.sqrt(a2)) * want)
+
+    @pytest.mark.parametrize("b2", [0.1, 0.5, 0.9])
+    def test_spin_classical_meets_its_leading_form_out_to_gamma_t_300(self, b2):
+        # C / ((beta2 - beta2^2) gamma t exp(-2 gamma t) / ln 2) approaches 1, its gap to 1 shrinking,
+        # on [8, 300], where C is ~3e-259 bits; taken as H(beta2 xi2) - H(q), C was lost to rounding
+        # by gamma t = 37
+        ts = np.linspace(8.0, 300.0, 293)
+        xi2, chi2 = np.square(amplitudes_flat(ts))
+        lead = (b2 - b2 * b2) * ts * np.exp(-2.0 * ts) / math.log(2.0)
+        gaps = np.abs(classical_correlation_spins_two_exc(b2, xi2, chi2) / lead - 1.0)
+        assert np.all(np.diff(gaps) <= 1e-12) and gaps[-1] < 0.01
 
     def test_subnormal_weight_product(self):
         # p = beta2 xi2 below the normal floats, where (1 - p) / p overflows:

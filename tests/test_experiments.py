@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinboson import experiments
+from spinboson.cli import main
 from spinboson.correlations import classical_correlation_spins_two_exc, concurrence_wootters
 from spinboson.experiments import (
     SERIES_MEASURES,
@@ -15,10 +18,12 @@ from spinboson.experiments import (
     count_sign_changes,
     flat_classical_tail_audit,
     reservoir_transfer_audit,
+    run_audits,
     run_sweep,
     square_sum_audit,
     square_sum_series,
 )
+from spinboson.io import parse_config
 from spinboson.model import (
     PARTITION_ORDER,
     Scenario,
@@ -29,6 +34,7 @@ from spinboson.model import (
     reduced,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BELL = (2.0**-0.5, 2.0**-0.5)
 LOPSIDED = (1.0 / math.sqrt(10.0), 3.0 / math.sqrt(10.0))
 FLAT = SpectralDensity("flat", gamma=1.0)
@@ -212,77 +218,111 @@ class TestRunSweep:
 class TestFlatTailAudit:
     def test_moderate_weights_pass_in_band(self):
         for b2 in (0.5, 0.9):
-            audit = flat_classical_tail_audit(b2, np.linspace(8.0, 12.0, 9))
+            audit = flat_classical_tail_audit(b2)
             assert audit.passed
             assert audit.details["in_band"]
+            assert audit.details["gamma_ts"] == [8.0, 9.0, 10.0, 11.0, 12.0]
 
     def test_small_weight_converges_from_outside_band(self):
         # ratio carries a -ln(beta2)/gamma_t correction: for beta2 = 0.1 it
         # still sits near 1.29 at gamma_t = 8, far outside [0.9, 1.1]
-        audit = flat_classical_tail_audit(0.1, np.linspace(8.0, 12.0, 9))
+        audit = flat_classical_tail_audit(0.1)
         assert audit.passed
         assert not audit.details["in_band"]
         ratios = np.array(audit.details["ratios"])
         assert abs(ratios[0] - (1.0 - math.log(0.1) / 8.0)) < 2e-3
 
-    def test_passes_on_a_late_tail(self):
-        # C is ~2e-22 bits at gamma t = 26; the ratio to the leading form
-        # must still approach 1 monotonically
-        assert flat_classical_tail_audit(0.5, [20.0, 22.0, 24.0, 26.0]).passed
-
-    @pytest.mark.parametrize("b2", [0.1, 0.5, 0.9])
-    def test_passes_out_to_gamma_t_300(self, b2):
-        # C is ~3e-259 bits at gamma t = 300; taken as H(beta2 xi2) - H(q),
-        # it was lost to rounding by gamma t = 37 and the audit failed
-        assert flat_classical_tail_audit(b2, np.linspace(8.0, 300.0, 293)).passed
-
     def test_gap_shrinks_for_heavy_weight(self):
-        audit = flat_classical_tail_audit(0.9, [8.0, 10.0, 12.0])
+        audit = flat_classical_tail_audit(0.9)
         gaps = np.abs(np.array(audit.details["ratios"]) - 1.0)
         assert np.all(np.diff(gaps) < 0.0)
 
     def test_zero_weight_trivial(self):
-        audit = flat_classical_tail_audit(0.0, [8.0, 10.0])
+        audit = flat_classical_tail_audit(0.0)
         assert audit.passed
-        assert audit.details["ratios"] == [1.0, 1.0]
-
-    def test_tail_validation(self):
-        with pytest.raises(ValueError, match="8"):
-            flat_classical_tail_audit(0.5, [5.0, 9.0])
+        assert audit.details["ratios"] == [1.0] * 5
 
 
 class TestReservoirTransferAudit:
     def test_two_exc_bell(self):
-        audit = reservoir_transfer_audit("two_exc", 0.5, 0.5, [20.0])
+        audit = reservoir_transfer_audit("two_exc", 0.5, 0.5)
         assert audit.passed
         assert audit.margin < 1e-3
-
-    def test_two_exc_requires_late_times(self):
-        with pytest.raises(ValueError, match="15"):
-            reservoir_transfer_audit("two_exc", 0.5, 0.5, [10.0])
+        assert audit.details["gamma_ts"] == [20.0]
 
     def test_one_exc_tail_ratio(self):
-        for a2 in (0.1, 0.5):
-            audit = reservoir_transfer_audit("one_exc", a2, 1.0 - a2, np.linspace(8.0, 12.0, 9))
+        # the closed-form Q took H(q) - H(xi2) by subtraction and lost all of Q from
+        # |alpha|^2 ~ 1e-16 (margin 38 at 1e-18)
+        for a2 in (0.1, 0.5, 1e-9, 1e-16, 1e-18):
+            audit = reservoir_transfer_audit("one_exc", a2, 1.0 - a2)
             assert audit.passed
             assert audit.margin < 0.1
+            assert audit.details["gamma_ts"] == [8.0, 9.0, 10.0, 11.0, 12.0]
 
     def test_one_exc_degenerate_weight(self):
-        audit = reservoir_transfer_audit("one_exc", 0.0, 1.0, [8.0, 10.0])
+        audit = reservoir_transfer_audit("one_exc", 0.0, 1.0)
         assert audit.passed
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
-            reservoir_transfer_audit("none", 0.5, 0.5, [20.0])
+            reservoir_transfer_audit("none", 0.5, 0.5)
 
-    @pytest.mark.parametrize("family,alpha2,beta2,ts", [
-        ("one_exc", 0.3, 0.3, np.linspace(8.0, 12.0, 5)),
-        ("two_exc", 0.9, 0.5, [20.0]),
-    ])
-    def test_weights_must_sum_to_one(self, family, alpha2, beta2, ts):
+    @pytest.mark.parametrize("family,alpha2,beta2", [("one_exc", 0.3, 0.3), ("two_exc", 0.9, 0.5)])
+    def test_weights_must_sum_to_one(self, family, alpha2, beta2):
         # both used to pass
         with pytest.raises(ValueError, match=f"alpha2 = {alpha2}, beta2 = {beta2}"):
-            reservoir_transfer_audit(family, alpha2, beta2, ts)
+            reservoir_transfer_audit(family, alpha2, beta2)
+
+
+# the README's example config, as JSON text
+README_JSON = re.search(r"^```json\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+
+
+def audit_lines(outcomes):
+    return "".join(f"{'PASS' if a.passed else 'FAIL'} {a.name} margin={a.margin:.3e}\n" for a in outcomes)
+
+
+class TestRunAudits:
+    def test_readme_config_matches_the_cli(self, tmp_path, capsys):
+        cfg = parse_config(README_JSON)
+        outcomes = run_audits(cfg.scenario(), cfg.partitions, cfg.side, cfg.grid, cfg.refine_iters)
+        assert [a.name for a in outcomes] == ["closed_vs_brute", "square_sum_quantum", "square_sum_classical",
+                                               "square_sum_concurrence", "flat_classical_tail",
+                                               "reservoir_transfer_two_exc"]
+        assert all(a.passed for a in outcomes)
+        path = tmp_path / "run.json"
+        path.write_text(README_JSON)
+        capsys.readouterr()
+        assert main(["audit", str(path)]) == 0
+        assert capsys.readouterr().out == audit_lines(outcomes)
+
+    def test_late_start_makes_one_sweep_from_t_0(self, monkeypatch):
+        cfg = dataclasses.replace(parse_config(README_JSON), time_start=0.5)
+        grids = []
+
+        def counted(scenario, *args):
+            grids.append(scenario.time_grid)
+            return run_sweep(scenario, *args)
+
+        monkeypatch.setattr(experiments, "run_sweep", counted)
+        outcomes = run_audits(cfg.scenario(), cfg.partitions, cfg.side, cfg.grid, cfg.refine_iters)
+        assert len(grids) == 1 and grids[0][0] == 0.0 and np.array_equal(grids[0][1:], cfg.scenario().time_grid)
+        assert len(outcomes) == 6 and all(a.passed for a in outcomes)
+
+    def test_lorentzian_gives_four_outcomes(self):
+        sc = Scenario("one_exc", *LOPSIDED, LORENTZ, np.linspace(0.0, 2.0, 21))
+        outcomes = run_audits(sc, ("s1s2", "r1r2"), "first", grid=16, refine_iters=2)
+        assert [a.name for a in outcomes] == ["closed_vs_brute", "square_sum_quantum", "square_sum_classical",
+                                               "square_sum_concurrence"]
+        assert all(a.passed for a in outcomes)
+
+    def test_one_exc_small_alpha_passes(self):
+        # the config alpha_re = 1e-9, beta_re = 1 failed reservoir_transfer_one_exc with
+        # margin 38: the closed-form Q of the spin pair was lost to rounding
+        sc = Scenario("one_exc", 1e-9, 1.0, FLAT, np.linspace(0.0, 10.0, 41))
+        outcomes = run_audits(sc, ("s1s2", "r1r2"), grid=16, refine_iters=2)
+        assert outcomes[-1].name == "reservoir_transfer_one_exc"
+        assert all(a.passed for a in outcomes), audit_lines(outcomes)
 
 
 @pytest.fixture(scope="module")

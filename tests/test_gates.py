@@ -1,8 +1,9 @@
 """End-to-end gates: the CLI on the README config and on late flat and Lorentzian
-configs, the figures' and the README config's plots, and the optimiser on the
+configs, the figures' and the README config's plots, the optimiser on the
 benchmark's seed-1 panel and on a panel of the model's own states (perfbench/ is
-only read)."""
+only read), and no unused import in the package or the demos."""
 
+import ast
 import json
 import os
 import re
@@ -117,6 +118,23 @@ def test_short_series_keep_every_point(tmp_path, capsys):
         assert text.count("<path") == count, path.name
     for svg in figures.glob("*.svg"):
         assert svg.read_text().splitlines()[-1] == "</svg>", svg.name
+
+
+def test_no_unused_imports():
+    # every import in the package's modules and the demos must be used: a deletion
+    # that leaves an import behind costs every process its import time.  __init__.py
+    # re-exports, so it is skipped
+    unused = []
+    for path in sorted([*(ROOT / "src" / "spinboson").glob("*.py"), *(ROOT / "demos").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, "\n".join(unused)
 
 
 def with_reference(rhos):

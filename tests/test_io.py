@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinboson import cli
+from spinboson import experiments
 from spinboson.cli import main
 from spinboson.correlations import SIDES
 from spinboson.experiments import (
@@ -709,17 +709,17 @@ class TestCli:
         outcomes += [square_sum_audit(pairs, measure) for measure in MEASURES]
         if cfg.spectral.kind == "flat":
             beta2 = abs(cfg.beta) ** 2
-            outcomes.append(flat_classical_tail_audit(beta2, np.linspace(8.0, 12.0, 5)))
-            outcomes.append(reservoir_transfer_audit(cfg.family, abs(cfg.alpha) ** 2, beta2, [20.0]))
+            outcomes.append(flat_classical_tail_audit(beta2))
+            outcomes.append(reservoir_transfer_audit(cfg.family, abs(cfg.alpha) ** 2, beta2))
         expected = "".join(f"{'PASS' if a.passed else 'FAIL'} {a.name} margin={a.margin:.3e}\n" for a in outcomes)
 
         calls = []
 
-        def counted(**kwargs):
-            calls.append(kwargs["partitions"])
-            return run_sweep(**kwargs)
+        def counted(scenario, partitions, *args):
+            calls.append(partitions)
+            return run_sweep(scenario, partitions, *args)
 
-        monkeypatch.setattr(cli, "run_sweep", counted)
+        monkeypatch.setattr(experiments, "run_sweep", counted)
         rc = main(["audit", str(cfg_path)])
         assert capsys.readouterr().out == expected
         assert rc == 0

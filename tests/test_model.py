@@ -394,6 +394,13 @@ class TestScenario:
             Scenario("three_exc", 1.0, 0.0, flat, np.array([0.0]))
         with pytest.raises(ValueError, match="alpha"):
             Scenario("two_exc", 1.0, 0.5, flat, np.array([0.0]))
+        # a bool weight built as 1 or 0, and a string one raised TypeError from abs()
+        with pytest.raises(ValueError, match="Scenario: alpha must be a number, got True"):
+            Scenario("two_exc", True, False, flat, np.array([0.0]))
+        with pytest.raises(ValueError, match="Scenario: beta must be a number, got False"):
+            Scenario("two_exc", 1.0, False, flat, np.array([0.0]))
+        with pytest.raises(ValueError, match="Scenario: beta must be a number, got '0'"):
+            Scenario("two_exc", 1.0, "0", flat, np.array([0.0]))
         with pytest.raises(ValueError, match="increasing"):
             Scenario("two_exc", 1.0, 0.0, flat, np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="0"):
