@@ -48,7 +48,6 @@ from .io import (
     emit_csv,
     emit_figures,
     emit_svg_plot,
-    figure_config,
     parse_config,
 )
 

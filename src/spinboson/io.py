@@ -17,13 +17,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .correlations import MAX_GRID, MAX_REFINE_ITERS, SIDES
 from .experiments import SERIES_MEASURES, SweepResult, check_partitions, run_sweep
-from .model import FAMILIES, PARTITION_ORDER, SPECTRAL_FIELDS, Scenario, SpectralDensity
+from .model import FAMILIES, PARTITION_ORDER, SPECTRAL_FIELDS, Scenario, SpectralDensity, as_number
 
 CSV_HEADER = ",".join(("time", "partition", "pipeline", *SERIES_MEASURES, "measured_side"))
 
@@ -42,24 +43,16 @@ MAX_TIME_STEPS = 100_001
 
 def _number(value, field: str) -> float:
     """``value`` as a finite float; bools, strings and NaN/Infinity are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (number := as_number(value)) is None:
         raise ValueError(f"config: {field} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
+    if not math.isfinite(number):
         raise ValueError(f"config: {field} must be finite, got {value!r}")
-    return value
+    return number
 
 
 def _count(value, field: str, lo: int, hi: int) -> int:
     """An integer in [lo, hi]; bools and non-integral floats are rejected."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
+    if (number := as_number(value)) is None or not (isinstance(value, Integral) or number.is_integer()):
         raise ValueError(f"config: {field} must be an integer, got {value!r}")
     value = int(value)
     if not lo <= value <= hi:
@@ -96,11 +89,8 @@ class RunConfig:
         def put(field, value):
             object.__setattr__(self, field, value)
 
-        for field, lo, hi in (
-            ("time_steps", 2, MAX_TIME_STEPS),
-            ("grid", 2, MAX_GRID),
-            ("refine_iters", 0, MAX_REFINE_ITERS),
-        ):
+        for field, lo, hi in (("time_steps", 2, MAX_TIME_STEPS), ("grid", 2, MAX_GRID),
+                              ("refine_iters", 0, MAX_REFINE_ITERS)):
             put(field, _count(getattr(self, field), field, lo, hi))
         for field, names in (("family", FAMILIES), ("pipeline", tuple(PIPELINE_NAMES)), ("side", SIDES)):
             value = getattr(self, field)
@@ -108,18 +98,17 @@ class RunConfig:
                 raise ValueError(f"config: {field} must be one of {names}, got {value!r}")
 
         for field in ("alpha", "beta"):
-            if isinstance(w := getattr(self, field), bool) or not isinstance(w, (int, float, complex)):
-                raise ValueError(f"config: {field} must be a number, got {w!r}")
+            if (w := as_number(value := getattr(self, field), complex)) is None:
+                raise ValueError(f"config: {field} must be a number, got {value!r}")
+            put(field, w)
         norm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
         if not abs(norm - 1.0) < 1e-6:  # NaN fails too
-            raise ValueError(
-                f"config: alpha/beta norm is {norm!r}; |alpha|^2 + |beta|^2 must equal 1 within 1e-6"
-            )
+            raise ValueError(f"config: alpha/beta norm is {norm!r}; |alpha|^2 + |beta|^2 must equal 1 within 1e-6")
         # a renormalised pair is within rounding (a few 1e-16) of unit norm
         # and is kept as it is, so renormalising is idempotent
         scale = norm if abs(norm - 1.0) > 1e-14 else 1.0
-        put("alpha", complex(self.alpha) / scale)
-        put("beta", complex(self.beta) / scale)
+        put("alpha", self.alpha / scale)
+        put("beta", self.beta / scale)
 
         put("time_start", _number(self.time_start, "time_start"))
         put("time_end", _number(self.time_end, "time_end"))
@@ -244,8 +233,6 @@ def emit_csv(result: SweepResult, path) -> Path:
 # SVG rendering.
 # ---------------------------------------------------------------------------
 
-_PANEL_PARTITIONS = ("s1s2", "r1r2", "s1r1", "s1r2")
-
 _PLOT_MEASURES = ("quantum", "classical")
 _PRIMARY_STYLE = {"quantum": ("#2040c8", "diamond"), "classical": ("#c030b8", "square")}
 _OVERLAY_STYLE = {"quantum": ("#303030", "triangle"), "classical": ("#d03030", "circle")}
@@ -290,11 +277,12 @@ def _m4_indices(x: np.ndarray, vals: np.ndarray, pw: int) -> np.ndarray:
 def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None) -> Path:
     """Render a 2x2-panel static SVG of the sweep's quantum and classical correlations.
 
-    Panels follow the spin pair, the reservoir pair and the two mixed
-    spin/reservoir pairs in that order, restricted to partitions the sweep
-    actually covers.  An optional second sweep is overlaid with its own
+    The panels are the first four partitions the sweep covers, in
+    ``PARTITION_ORDER``: the spin pair, the reservoir pair, then the mixed
+    spin/reservoir pairs.  An optional second sweep is overlaid with its own
     marker family, matching the two-initial-state layout of the reference
-    figures.  Single-point series degenerate to markers with no path.
+    figures; a panel's y-scale covers every series drawn in it.
+    Single-point series degenerate to markers with no path.
 
     A series of more than 4 points per pixel column of its 380-pixel-wide
     panel is drawn through its M4 points (Jugel, Jerzak, Hackenbroich &
@@ -304,44 +292,33 @@ def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None)
     """
     if not result.values:
         raise ValueError("emit_svg_plot: empty sweep")
-    present = {part for part, _ in result.values}
-    panels = [p for p in _PANEL_PARTITIONS if p in present]
-    if not panels:
-        panels = [p for p in PARTITION_ORDER if p in present]
+    panels = [p for p in PARTITION_ORDER if (p, result.main_pipeline()) in result.values][:4]
 
     width, height = 880, 640
     pw, ph = 380, 250
-    x0s = (70, 70 + pw + 60)
-    y0s = (50, 50 + ph + 70)
     time_label = f"{result.scenario.spectral.rate_key}*t"
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    legend = "Q: filled diamonds / C: filled squares"
-    if overlay is not None:
-        legend += "; overlay Q: triangles / C: circles"
-    out.append(f'<text x="70" y="20" font-size="12">{legend}</text>')
 
     times = result.times()
     tmin, tmax = float(times[0]), float(times[-1])
     span_t = tmax - tmin if tmax > tmin else 1.0
+    sources = [(result, times, _PRIMARY_STYLE)]
+    legend = "Q: filled diamonds / C: filled squares"
+    if overlay is not None:
+        sources.append((overlay, overlay.times(), _OVERLAY_STYLE))
+        legend += "; overlay Q: triangles / C: circles"
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<text x="70" y="20" font-size="12">{legend}</text>',
+    ]
 
     for i, part in enumerate(panels):
-        x0 = x0s[i % 2]
-        y0 = y0s[i // 2]
-        sources = [(result, _PRIMARY_STYLE)]
-        if overlay is not None:
-            sources.append((overlay, _OVERLAY_STYLE))
-        ymax = 0.0
-        for src, _ in sources:
-            for meas in _PLOT_MEASURES:
-                vals = src.series(part, src.main_pipeline(), meas)
-                if vals.size:
-                    ymax = max(ymax, float(vals.max()))
-        ymax = max(ymax, 1e-12) * 1.08
+        x0, y0 = (70, 70 + pw + 60)[i % 2], (50, 50 + ph + 70)[i // 2]
+        # (times, values, color, shape) of each non-empty series the panel draws
+        series = [(src_times, vals, *style[meas]) for src, src_times, style in sources for meas in _PLOT_MEASURES
+                  if (vals := src.series(part, src.main_pipeline(), meas)).size]
+        ymax = max([1e-12] + [float(vals.max()) for _, vals, _, _ in series]) * 1.08
 
         def sx(t):
             return x0 + (t - tmin) / span_t * pw
@@ -349,43 +326,26 @@ def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None)
         def sy(v):
             return y0 + ph - v / ymax * ph
 
-        out.append(
-            f'<rect x="{x0}" y="{y0}" width="{pw}" height="{ph}" fill="none" stroke="#404040"/>'
-        )
-        out.append(f'<text x="{x0 + 4}" y="{y0 + 14}">{part}</text>')
+        out += [f'<rect x="{x0}" y="{y0}" width="{pw}" height="{ph}" fill="none" stroke="#404040"/>',
+                f'<text x="{x0 + 4}" y="{y0 + 14}">{part}</text>']
         for k in range(5):
             tv = tmin + span_t * k / 4
             yv = ymax / 1.08 * k / 4
-            out.append(
-                f'<text x="{sx(tv):.2f}" y="{y0 + ph + 16}" text-anchor="middle">{tv:.3g}</text>'
-            )
-            out.append(
-                f'<text x="{x0 - 6}" y="{sy(yv) + 4:.2f}" text-anchor="end">{yv:.3g}</text>'
-            )
-        out.append(
-            f'<text x="{x0 + pw / 2:.2f}" y="{y0 + ph + 34}" text-anchor="middle">{time_label}</text>'
-        )
-        out.append(
-            f'<text x="{x0 - 52}" y="{y0 + ph / 2:.2f}" transform="rotate(-90 {x0 - 52} {y0 + ph / 2:.2f})" '
-            f'text-anchor="middle">bits</text>'
-        )
+            out += [f'<text x="{sx(tv):.2f}" y="{y0 + ph + 16}" text-anchor="middle">{tv:.3g}</text>',
+                    f'<text x="{x0 - 6}" y="{sy(yv) + 4:.2f}" text-anchor="end">{yv:.3g}</text>']
+        out += [f'<text x="{x0 + pw / 2:.2f}" y="{y0 + ph + 34}" text-anchor="middle">{time_label}</text>',
+                f'<text x="{x0 - 52}" y="{y0 + ph / 2:.2f}" transform="rotate(-90 {x0 - 52} {y0 + ph / 2:.2f})" '
+                'text-anchor="middle">bits</text>']
 
-        for src, style in sources:
-            src_times = src.times()
-            for meas in _PLOT_MEASURES:
-                vals = src.series(part, src.main_pipeline(), meas)
-                if not vals.size:
-                    continue
-                color, shape = style[meas]
-                if vals.size >= 2:
-                    xs = sx(src_times)
-                    keep = _m4_indices(xs - x0, vals, pw)
-                    xy = np.column_stack((xs[keep], sy(vals[keep]))).ravel().tolist()
-                    d = "M " + " L ".join(["%.2f %.2f"] * keep.size) % tuple(xy)
-                    out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
-                stride = max(1, vals.size // 24)
-                for t, v in zip(src_times[::stride], vals[::stride]):
-                    out.append(_marker(shape, sx(t), sy(v), color))
+        for src_times, vals, color, shape in series:
+            if vals.size >= 2:
+                xs = sx(src_times)
+                keep = _m4_indices(xs - x0, vals, pw)
+                xy = np.column_stack((xs[keep], sy(vals[keep]))).ravel().tolist()
+                d = "M " + " L ".join(["%.2f %.2f"] * keep.size) % tuple(xy)
+                out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+            stride = max(1, vals.size // 24)
+            out += [_marker(shape, sx(t), sy(v), color) for t, v in zip(src_times[::stride], vals[::stride])]
 
     out.append("</svg>")
     _atomic_write(Path(path), "\n".join(out) + "\n")
@@ -404,7 +364,7 @@ _LORENTZ = SpectralDensity("lorentz", W=math.sqrt(200.0), lam=1.0)  # strong cou
 
 FIGURE_CONFIGS = {
     name: RunConfig(family=family, alpha=_BELL[0], beta=_BELL[1], spectral=spectral, time_end=time_end,
-                    time_steps=81, partitions=_PANEL_PARTITIONS, grid=32, refine_iters=3)
+                    time_steps=81, partitions=PARTITION_ORDER[:4], grid=32, refine_iters=3)
     for name, family, spectral, time_end in (
         ("flat_two_excitation", "two_exc", _FLAT, 5.0),
         ("lorentz_two_excitation", "two_exc", _LORENTZ, 2.0),
@@ -414,28 +374,17 @@ FIGURE_CONFIGS = {
 }
 
 
-def figure_config(name: str, weights: tuple[float, float] = _BELL) -> RunConfig:
-    """RunConfig for one built-in figure scenario.
-
-    ``weights`` selects the initial amplitudes: the Bell pair by default,
-    or the lopsided (1/sqrt(10), 3/sqrt(10)) pair used for the second
-    curve family of every reference figure.  Other settings come by
-    ``dataclasses.replace(figure_config(name), grid=16)``, which checks them.
-    """
-    if name not in FIGURE_CONFIGS:
-        raise ValueError(f"figure_config: unknown figure {name!r}")
-    return replace(FIGURE_CONFIGS[name], alpha=weights[0], beta=weights[1])
-
-
 def emit_figures(out_dir) -> list[Path]:
     """Compute and write the four built-in figure datasets and plots.
 
     Each figure yields one CSV (the Bell-state sweep) and one SVG with the
-    lopsided-weights sweep overlaid.  Output bytes depend only on the configs.
+    sweep of the lopsided weights (1/sqrt(10), 3/sqrt(10)) overlaid, the
+    second curve family of every reference figure.  All eight sweeps run
+    before any file is written.  Output bytes depend only on the configs.
     """
     out_dir = Path(out_dir)
-    results = [run_sweep(**figure_config(name, weights).sweep_args())
-               for name in FIGURE_CONFIGS for weights in (_BELL, _LOPSIDED)]
+    results = [run_sweep(**replace(cfg, alpha=alpha, beta=beta).sweep_args())
+               for cfg in FIGURE_CONFIGS.values() for alpha, beta in (_BELL, _LOPSIDED)]
     paths: list[Path] = []
     for name, res, res_overlay in zip(FIGURE_CONFIGS, results[::2], results[1::2]):
         paths.append(emit_csv(res, out_dir / f"{name}.csv"))

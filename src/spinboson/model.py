@@ -23,9 +23,8 @@ the initial spin state sum_ij c_ij |ij>.  Each family is a preset of c.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Complex, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +107,16 @@ def amplitudes_lorentz(lambda_t, coupling_ratio: float) -> Amplitudes:
     return Amplitudes(xi, np.sqrt(np.maximum(0.0, 1.0 - xi * xi)))
 
 
+def as_number(value, kind: type = float):
+    """``value`` as a ``kind``, float or complex, or None if it is not such a number (numpy's are, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, Real if kind is float else Complex):
+        return None
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range: an infinity, which every caller rejects
+        return kind(math.inf if value > 0 else -math.inf)
+
+
 # Each spectral kind's fields: config key -> SpectralDensity attribute, the rate first.
 SPECTRAL_FIELDS = {"flat": {"gamma": "gamma"}, "lorentz": {"lambda": "lam", "W": "W"}}
 
@@ -139,9 +148,11 @@ class SpectralDensity:
                 if key not in own:
                     if value is not None:
                         raise ValueError(f"SpectralDensity: a {self.kind} spectrum takes no {key}, got {value!r}")
-                # a bool is an int to isinstance; NaN, inf and an int past the float range fail the comparison
-                elif isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value <= sys.float_info.max:
+                    continue
+                # NaN fails the comparison
+                if (number := as_number(value)) is None or not 0.0 < number < math.inf:
                     raise ValueError(f"SpectralDensity: {self.kind} spectrum needs a finite {key} > 0, got {value!r}")
+                object.__setattr__(self, attr, number)
         if self.kind == "lorentz":
             ratio = self.W / self.lam
             if not math.isfinite(ratio) or ratio == 0.0:
@@ -181,8 +192,9 @@ class Scenario:
         if self.family not in FAMILIES:
             raise ValueError(f"Scenario: unknown family {self.family!r}")
         for name in ("alpha", "beta"):
-            if isinstance(w := getattr(self, name), bool) or not isinstance(w, (int, float, complex)):
-                raise ValueError(f"Scenario: {name} must be a number, got {w!r}")
+            if (w := as_number(value := getattr(self, name), complex)) is None:
+                raise ValueError(f"Scenario: {name} must be a number, got {value!r}")
+            object.__setattr__(self, name, w)
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"Scenario: |alpha|^2 + |beta|^2 = {norm!r}, must be 1")

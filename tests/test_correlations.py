@@ -27,7 +27,7 @@ from spinboson.correlations import (
     reservoir_correlations_two_exc,
 )
 from spinboson.experiments import run_sweep
-from spinboson.io import RunConfig, figure_config
+from spinboson.io import FIGURE_CONFIGS, RunConfig
 from spinboson.linalg import random_pure_state
 from spinboson.model import (
     PARTITION_ORDER,
@@ -343,6 +343,20 @@ class TestClosedForms:
             assert normal.sum() == len(want)
             assert np.all(np.abs(got - want) <= 1e-14 * want)
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+    def test_classical_near_full_weight(self, gap):
+        # with 1 - beta2 = gap small, C is H(p) - H(q) with q close to 1 - p:
+        # on the direct branch (x2 > 1/2) and in the O(d^2) cancellation of
+        # _entropy_drop just below x2 = 1/2, about 3e-16 / gap relative is lost
+        # (2.8e-4 at gap = 1e-12, x2 = 1/2 + 1e-8).  This pins that loss; forming
+        # the radicand as (x2 - y2)^2 + 4 gap x2 y2 does not remove it
+        b2 = 1.0 - gap
+        near = 10.0 ** -np.arange(1, 13)
+        x2 = np.concatenate([0.5 - near, 0.5 + near, np.linspace(0.02, 0.98, 49)])
+        got = classical_correlation_spins_two_exc(b2, x2, 1.0 - x2)
+        want = np.array([classical_decimal(b2, x) for x in x2])
+        assert np.all(np.abs(got - want) <= (1e-13 + 1e-15 / gap) * want)
+
     @pytest.mark.parametrize("a2", [0.9, 0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18])
     def test_one_exc_quantum_relative_accuracy(self, a2):
         # the spin-pair Q on a flat tail, xi2 = exp(-gamma t) for gamma t in (0, 60], against 120
@@ -626,7 +640,7 @@ class TestOptimizerConvergence:
         # one must not overshoot them
         config = (RunConfig("two_exc", 0.70710678, 0.70710678, SpectralDensity("flat", gamma=1.0), time_end=30.0,
                             time_steps=301) if name == "late_flat_bell"
-                  else replace(figure_config(name), time_steps=801))
+                  else replace(FIGURE_CONFIGS[name], time_steps=801))
         scenario = config.scenario()
         result = run_sweep(scenario, ("s1s2", "r1r2"), "both", side)
         _, states = state_batch(scenario)

@@ -1,13 +1,15 @@
 """End-to-end gates: the CLI on the README config and on late flat and Lorentzian
 configs, the figures' and the README config's plots, the optimiser on the
 benchmark's seed-1 panel and on a panel of the model's own states (perfbench/ is
-only read), and no unused import in the package or the demos."""
+only read), every demo run to completion, and no unused import in the package or
+the demos."""
 
 import ast
 import json
 import os
 import re
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -118,6 +120,15 @@ def test_short_series_keep_every_point(tmp_path, capsys):
         assert text.count("<path") == count, path.name
     for svg in figures.glob("*.svg"):
         assert svg.read_text().splitlines()[-1] == "</svg>", svg.name
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # numpy reports overflow and invalid values as RuntimeWarnings where math
+    # raised, so they fail the demo; demo 05 writes demo_output/ under tmp_path
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_unused_imports():

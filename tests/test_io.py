@@ -40,7 +40,6 @@ from spinboson.io import (
     _m4_indices,
     emit_csv,
     emit_svg_plot,
-    figure_config,
     parse_config,
 )
 from spinboson.model import FAMILIES, PARTITION_ORDER, Scenario, SpectralDensity
@@ -334,6 +333,28 @@ class TestOneValidator:
             with pytest.raises(ValueError, match=f"^config: {field} must be a number, got (True|False)$"):
                 build()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(alpha=np.float32(0.6), beta=np.float32(0.8)), dict(alpha=np.int64(1), beta=np.int64(0)),
+         dict(alpha=np.complex64(0.6), beta=np.float64(0.8)),
+         dict(time_end=np.float32(2.0), time_steps=np.int64(5), grid=np.int32(16), refine_iters=np.float32(2.0))],
+        ids=["float32_weights", "int64_weights", "complex64_weight", "numpy_times_and_counts"],
+    )
+    def test_numpy_scalar_fields_accepted(self, changes):
+        # each was rejected as not a number or not an integer
+        for build in self.builds({}, **changes)[1:]:
+            cfg = build()
+            for field, value in changes.items():
+                assert getattr(cfg, field) == pytest.approx(complex(value), abs=1e-7)
+            assert (type(cfg.alpha), type(cfg.time_end), type(cfg.time_steps)) == (complex, float, int)
+
+    @pytest.mark.parametrize("alpha,beta", [(10**400, 0.0), (1.0, -(10**400))], ids=["alpha", "beta"])
+    def test_huge_int_weights_rejected(self, alpha, beta):
+        # math.sqrt(abs(weight) ** 2 + ...) raised OverflowError
+        for build in self.builds({}, alpha=alpha, beta=beta)[1:]:
+            with pytest.raises(ValueError, match="^config: alpha/beta norm is inf"):
+                build()
+
     def test_cases_cover_every_field(self):
         assert {case[0] for case in INVALID_FIELDS} == {f.name for f in fields(RunConfig)}
 
@@ -459,6 +480,23 @@ class TestEmitSvg:
         a = emit_svg_plot(small_sweep, tmp_path / "a.svg")
         b = emit_svg_plot(small_sweep, tmp_path / "b.svg")
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def panel_labels(partitions, tmp_path):
+        sc = Scenario("two_exc", 0.6, 0.8, SpectralDensity("flat", gamma=1.0), np.linspace(0.0, 1.0, 3))
+        res = run_sweep(sc, partitions, "brute_force", grid=4, refine_iters=0)
+        # a panel's label is the one <text> element with no attribute past x and y
+        text = emit_svg_plot(res, tmp_path / "p.svg").read_text()
+        return re.findall(r'<text x="[\d.]+" y="[\d.]+">(\w+)</text>', text)
+
+    def test_free_panel_slot_draws_a_later_partition(self, tmp_path):
+        # the panels were s1s2, r1r2, s1r1 and s1r2 when the sweep had any of
+        # them, so s2r2 went undrawn with three slots free
+        assert self.panel_labels(("s1s2", "s2r2"), tmp_path) == ["s1s2", "s2r2"]
+
+    def test_six_partitions_draw_the_first_four(self, tmp_path):
+        labels = self.panel_labels(("s2r2", "s1r2", "s2r1", "r1r2", "s1r1", "s1s2"), tmp_path)
+        assert labels == ["s1s2", "r1r2", "s1r1", "s1r2"] == list(PARTITION_ORDER[:4])
 
 
 # Per-number formatters the emitters replaced, kept as the byte reference.
@@ -622,17 +660,12 @@ class TestFigureConfigs:
             ("two_exc", "flat"), ("two_exc", "lorentz"),
             ("one_exc", "flat"), ("one_exc", "lorentz"),
         }
-        for name in FIGURE_CONFIGS:
-            cfg = figure_config(name)
+        for cfg in FIGURE_CONFIGS.values():
             assert abs(abs(cfg.alpha) ** 2 - 0.5) < 1e-12
-            lop = figure_config(name, weights=(10.0**-0.5, 3.0 * 10.0**-0.5))
+            lop = replace(cfg, alpha=10.0**-0.5, beta=3.0 * 10.0**-0.5)
             assert abs(abs(lop.beta) ** 2 - 0.9) < 1e-9
             if cfg.spectral.kind == "lorentz":
                 assert abs(cfg.spectral.W / cfg.spectral.lam - math.sqrt(200.0)) < 1e-12
-
-    def test_unknown_figure(self):
-        with pytest.raises(ValueError, match="figure"):
-            figure_config("flat_three_excitation")
 
 
 def parser_commands() -> tuple:

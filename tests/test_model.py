@@ -406,6 +406,23 @@ class TestScenario:
         with pytest.raises(ValueError, match="0"):
             Scenario("two_exc", 1.0, 0.0, flat, np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("alpha,beta", [(np.int64(1), np.complex64(0)), (np.float32(0.6), None),
+                                            (np.complex128(1j), np.float16(0))],
+                             ids=["int64_complex64", "float32", "complex128_float16"])
+    def test_numpy_weights_accepted(self, alpha, beta):
+        # they were rejected as not numbers; a float32 weight holds its float32 value exactly
+        beta = math.sqrt(1.0 - float(alpha) ** 2) if beta is None else beta
+        sc = Scenario("one_exc", alpha, beta, SpectralDensity("flat", gamma=1.0), np.array([0.0, 1.0]))
+        assert (sc.alpha, sc.beta) == (complex(alpha), complex(beta))
+        assert type(sc.alpha) is complex and type(sc.beta) is complex
+        assert abs(state_batch(sc)[1][0][0b0100] - complex(alpha)) < 1e-15
+
+    @pytest.mark.parametrize("alpha,beta", [(10**400, 0.0), (1.0, -(10**400))], ids=["alpha", "beta"])
+    def test_huge_int_weight_rejected(self, alpha, beta):
+        # abs(weight) ** 2 - 1.0 raised OverflowError
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 = inf, must be 1"):
+            Scenario("two_exc", alpha, beta, SpectralDensity("flat", gamma=1.0), np.array([0.0]))
+
     @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, complex(math.nan, 0.0)), (complex(0.0, math.nan), 0.0)])
     def test_nan_weights_rejected(self, alpha, beta):
         # NaN fails every comparison, so |norm - 1| > 1e-10 let it through
@@ -445,3 +462,17 @@ class TestScenario:
         # past the float range raised OverflowError from math.isfinite
         with pytest.raises(ValueError, match=rf"finite {name} > 0"):
             SpectralDensity(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(kind="flat", gamma=np.float32(1.0)), dict(kind="lorentz", W=np.float32(2.0), lam=np.float32(0.5)),
+         dict(kind="lorentz", W=np.int64(3), lam=np.float16(1.0))],
+        ids=["flat_float32", "lorentz_float32", "lorentz_int64_float16"],
+    )
+    def test_numpy_spectral_parameters_accepted(self, kwargs):
+        # a float32 field raised 'overflow encountered in cast' from the bound
+        # check, a RuntimeWarning that the test settings turn into an error
+        spectral = SpectralDensity(**kwargs)
+        for attr, value in kwargs.items():
+            if attr != "kind":
+                assert getattr(spectral, attr) == float(value) and type(getattr(spectral, attr)) is float
