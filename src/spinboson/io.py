@@ -238,17 +238,16 @@ _PRIMARY_STYLE = {"quantum": ("#2040c8", "diamond"), "classical": ("#c030b8", "s
 _OVERLAY_STYLE = {"quantum": ("#303030", "triangle"), "classical": ("#d03030", "circle")}
 
 
-def _marker(shape: str, x: float, y: float, color: str, size: float = 3.2) -> str:
-    s = size
-    if shape == "diamond":
-        p = f"{x:.2f},{y - s:.2f} {x + s:.2f},{y:.2f} {x:.2f},{y + s:.2f} {x - s:.2f},{y:.2f}"
-        return f'<polygon points="{p}" fill="{color}"/>'
-    if shape == "square":
-        return f'<rect x="{x - s:.2f}" y="{y - s:.2f}" width="{2 * s:.2f}" height="{2 * s:.2f}" fill="{color}"/>'
-    if shape == "triangle":
-        p = f"{x:.2f},{y - s:.2f} {x + s:.2f},{y + s:.2f} {x - s:.2f},{y + s:.2f}"
-        return f'<polygon points="{p}" fill="{color}"/>'
-    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{s:.2f}" fill="{color}"/>'
+# each marker shape's %-template and the offsets (dx, dy) of its coordinates from the point, in marker sizes
+_MARKER_SIZE = 3.2
+_MARKERS = {
+    "diamond": ('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="{}"/>',
+                ((0, -1), (1, 0), (0, 1), (-1, 0))),
+    "square": (f'<rect x="%.2f" y="%.2f" width="{2 * _MARKER_SIZE:.2f}" height="{2 * _MARKER_SIZE:.2f}" fill="{{}}"/>',
+               ((-1, -1),)),
+    "triangle": ('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="{}"/>', ((0, -1), (1, 1), (-1, 1))),
+    "circle": (f'<circle cx="%.2f" cy="%.2f" r="{_MARKER_SIZE:.2f}" fill="{{}}"/>', ((0, 0),)),
+}
 
 
 def _m4_indices(x: np.ndarray, vals: np.ndarray, pw: int) -> np.ndarray:
@@ -345,7 +344,10 @@ def emit_svg_plot(result: SweepResult, path, overlay: SweepResult | None = None)
                 d = "M " + " L ".join(["%.2f %.2f"] * keep.size) % tuple(xy)
                 out.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2"/>')
             stride = max(1, vals.size // 24)
-            out += [_marker(shape, sx(t), sy(v), color) for t, v in zip(src_times[::stride], vals[::stride])]
+            template, offsets = _MARKERS[shape]
+            mx, my = sx(src_times[::stride]), sy(vals[::stride])
+            xy = np.stack([c for dx, dy in offsets for c in (mx + dx * _MARKER_SIZE, my + dy * _MARKER_SIZE)], -1)
+            out.append("\n".join([template.format(color)] * mx.size) % tuple(xy.ravel().tolist()))
 
     out.append("</svg>")
     _atomic_write(Path(path), "\n".join(out) + "\n")

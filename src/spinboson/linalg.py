@@ -81,8 +81,14 @@ def binary_entropy(x):
     out = np.zeros_like(arr)
     mask = (arr != 0.0) & (arr != 1.0)
     xm = arr[mask]
-    # log1p keeps the (1-x) term accurate when x is close to 0 or 1
-    out[mask] = -xm * np.log2(xm) - (1.0 - xm) * (np.log1p(-xm) / np.log(2.0))
+    # -x log2 x - (1 - x) log1p(-x) / ln 2, in place: the same bits with fewer temporaries.  log1p keeps the
+    # (1-x) term accurate when x is close to 0 or 1
+    h, tail = np.log2(xm), np.log1p(-xm)
+    h *= xm
+    tail /= np.log(2.0)
+    tail *= 1.0 - xm
+    h += tail
+    out[mask] = np.negative(h, out=h)
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from spinboson import correlations
 from spinboson.correlations import (
     _OFF_X,
     MAX_GRID,
@@ -28,7 +29,7 @@ from spinboson.correlations import (
 )
 from spinboson.experiments import run_sweep
 from spinboson.io import FIGURE_CONFIGS, RunConfig
-from spinboson.linalg import random_pure_state
+from spinboson.linalg import entropy2_batch, random_pure_state
 from spinboson.model import (
     PARTITION_ORDER,
     Amplitudes,
@@ -98,6 +99,18 @@ def one_exc_quantum_decimal(a2, x2, digits=120):
         return float((h(a * x) + h((1 - (1 - 4 * u).sqrt()) / 2) - h(x)) / Decimal(2).ln())
 
 
+def x_state_entropy_decimal(rho, digits=40):
+    """S(AB) in bits of an X state, from the weights of its outer and inner 2 x 2 blocks in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        weights = []
+        for i, j in ((0, 3), (1, 2)):
+            p, q = Decimal(rho[i, i].real), Decimal(rho[j, j].real)
+            h = (((p - q) / 2) ** 2 + Decimal(rho[i, j].real) ** 2 + Decimal(rho[i, j].imag) ** 2).sqrt()
+            weights += [(p + q) / 2 + h, (p + q) / 2 - h]
+        return float(-sum((w * w.ln() for w in weights if w > 0), Decimal(0)) / Decimal(2).ln())
+
+
 def bell_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = rho[0, 3] = rho[3, 0] = 0.5
@@ -153,6 +166,22 @@ class TestMutualInformation:
         rhos[2, 1, 0] = np.nan
         with pytest.raises(ValueError, match="mutual_information: non-finite value nan at index 2"):
             mutual_information_batch(rhos)
+
+    def test_x_states_match_decimal_reference(self):
+        # an X state's S(AB) comes from its two 2 x 2 blocks, with p q - |c|^2 formed from exact
+        # products: on the model's states, both families, spectra and weight sets, I is within 1e-15
+        # bits of I with a 40-digit S(AB) (4.4e-16 measured; eigvalsh's weights left 2.0e-15, on
+        # near-pure blocks).  The marginal entropies are the package's own on both sides: their
+        # error on near-pure marginals is not this route's
+        amps = (amplitudes_flat(np.linspace(0.0, 5.0, 41)), amplitudes_lorentz(np.linspace(0.0, 2.0, 41), RATIO))
+        rhos = np.concatenate([reduced_batch(pure_state(family, *weights, a), p) for family in ("two_exc", "one_exc")
+                               for weights in (BELL, LOPSIDED) for a in amps for p in PARTITION_ORDER])
+        assert np.all(rhos[:, _OFF_X] == 0.0)
+        r4 = rhos.reshape(-1, 2, 2, 2, 2)
+        marginals = entropy2_batch(np.einsum("nabcb->nac", r4)) + entropy2_batch(np.einsum("nabad->nbd", r4))
+        want = np.maximum(marginals - np.array([x_state_entropy_decimal(rho) for rho in rhos]), 0.0)
+        err = np.abs(mutual_information_batch(rhos) - want)
+        assert err.max() <= 1e-15, f"{err.max():.2e} bits at state {err.argmax()}"
 
     def test_batch_raises_beyond_round_off(self):
         # pure marginals, and S(AB) = 0.5 from the clipped weights (1, 0.5, 0, 0):
@@ -563,6 +592,31 @@ class TestOptimizerConvergence:
             values, _, _ = classical_correlation_batch(rhos, side)
         assert np.all(np.isfinite(values))
         assert np.abs(values - np.array(known)).max() < 1e-12
+
+    @pytest.mark.parametrize("state", ["bell", "product", "turned_bell", "turned_product"])
+    def test_flat_states_leave_at_the_first_step(self, state, monkeypatch):
+        # a flat objective has an exactly zero gradient, so its gradient step is 0 and every trial would
+        # repeat the point: the state leaves at once, and a larger budget scores no more axes.  It used to
+        # step to the end of the budget, 2 refine_iters trials.  At refine_iters 0 the Newton stage scores
+        # its one centre alone, not a whole stencil.  The turned states (a Hadamard on the first qubit)
+        # are not X states
+        up, down = np.eye(2)
+        psi = {"bell": (np.kron(up, up) + np.kron(down, down)) / math.sqrt(2.0), "product": np.kron(up, up),
+               "turned_bell": (np.kron(up + down, up) + np.kron(up - down, down)) / 2.0,
+               "turned_product": np.kron(up + down, up) / math.sqrt(2.0)}[state]
+        rho = np.outer(psi, psi)[None].astype(complex)
+        objective, axes = correlations._objective, []
+        monkeypatch.setattr(correlations, "_objective",
+                            lambda s, a, proj: axes.append(np.size(proj[0])) or objective(s, a, proj))
+        scored = []
+        for refine in (0, 1, 20):
+            axes.clear()
+            value = classical_correlation_batch(rho, "second", 64, refine)[0][0]
+            assert abs(value - (0.0 if "product" in state else 1.0)) <= 1e-14
+            scored.append(axes[:])
+        mesh = 64 if state in ("bell", "product") else 16 * 15 + 1
+        stencil = 3 if state in ("bell", "product") else 9
+        assert scored == [[mesh, 1], [mesh, stencil], [mesh, stencil]]
 
     @pytest.mark.parametrize("side", ["first", "second"])
     def test_general_states_never_lose_with_more_refinement(self, side):

@@ -11,13 +11,14 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinboson.cli import main
-from spinboson.correlations import classical_correlation_batch
+from spinboson.correlations import _bloch_form, classical_correlation_batch
 from spinboson.io import FIGURE_CONFIGS, parse_config
 from spinboson.model import PARTITION_ORDER, amplitudes_flat, amplitudes_lorentz, pure_state, reduced_batch, state_batch
 
@@ -211,10 +212,12 @@ def test_optimiser_model_panel(model_panel, grid, refine, side):
 @pytest.mark.parametrize("side", ["second", "first"])
 @pytest.mark.parametrize("grid", [64, 32])
 def test_converged_value_ignores_step_budget(panel, grid, side):
-    # every state of the Haar panel and of the README sweep either leaves the Newton
-    # loop converged within 6 steps or keeps none of its later trials, so a larger
-    # budget returns the same bits.  Stepping on after convergence once accepted
-    # round-off gains, and C drifted by up to 5.6e-16 between refine 4, 6 and 8
+    # every state of the Haar panel leaves the Newton loop converged within 6 steps or
+    # keeps none of its later trials, and every README state leaves at the first step:
+    # by the Newton exit, or, for the six flat t = 0 states, by an exactly zero
+    # gradient.  So a larger budget returns the same bits.  Stepping on after
+    # convergence once accepted round-off gains, and C drifted by up to 5.6e-16
+    # between refine 4, 6 and 8
     config = parse_config(json.dumps(README_DOC))
     states = state_batch(config.scenario())[1]
     readme = np.concatenate([reduced_batch(states, p) for p in config.partitions])
@@ -222,3 +225,19 @@ def test_converged_value_ignores_step_budget(panel, grid, side):
         first, *rest = (classical_correlation_batch(rhos, side, grid, refine)[0] for refine in (3, 4, 6, 8))
         for values in rest:
             np.testing.assert_array_equal(values, first)
+
+
+def test_bloch_form_matches_einsum():
+    # the optimiser sums each R_uv = Re Tr(rho sigma_u x sigma_v) from a table of four
+    # signed entries, in the order einsum sums them, and gets einsum's bits (zero signs
+    # too) on the Haar panels of seeds 0-10 and on the README's and the figures' states.
+    # Summed pairwise, the terms moved last bits, and those moved optimiser results
+    pauli = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]).astype(complex)
+    scenarios = [parse_config(json.dumps(README_DOC)).scenario()]
+    scenarios += [replace(cfg, alpha=alpha, beta=beta).scenario() for cfg in FIGURE_CONFIGS.values()
+                  for alpha, beta in ((2.0**-0.5, 2.0**-0.5), (10.0**-0.5, 3.0 * 10.0**-0.5))]
+    panels = [workloads.reduce_all(workloads.random_states(seed)) for seed in range(11)]
+    panels += [np.concatenate([reduced_batch(state_batch(s)[1], p) for p in PARTITION_ORDER]) for s in scenarios]
+    for rhos in panels:
+        want = np.einsum("nabcd,uca,vdb->nuv", rhos.reshape(-1, 2, 2, 2, 2), pauli, pauli).real
+        np.testing.assert_array_equal(_bloch_form(rhos).view(np.uint64), want.view(np.uint64))
